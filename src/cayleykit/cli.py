@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 from . import cosets, families, graphs, tables
@@ -202,10 +201,8 @@ def cmd_check_graph(args) -> tuple[dict, list[str]]:
 
 def cmd_check_table(args) -> tuple[dict, list[str]]:
     t = tables.parse_table(_read(args.file))
-    violation = tables.latin_check(t)
-    identity = tables.identity_check(t)
-    witness = tables.associativity_witness(t)
     result = tables.group_from_table(t)
+    violation, identity, witness = result.latin_violation, result.identity, result.witness
     report = {
         "symbols": list(t.symbols),
         "order": t.order,
@@ -342,12 +339,10 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
         names = graphs.fixture_names()
         cap = default_max_cosets()
 
-        def run(name: str):
-            analysis = graphs.analyze(graphs.fixture(name), max_cosets=cap)
-            return _graph_report(name, analysis)
-
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(run, names))
+        results = [
+            _graph_report(name, graphs.analyze(graphs.fixture(name), max_cosets=cap))
+            for name in names
+        ]
         report = {"fixtures": {r["fixture"]: r for r in results}}
         human = []
         for r in results:

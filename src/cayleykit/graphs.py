@@ -396,6 +396,14 @@ def load_graph_json(text: str) -> ColoredDigraph:
     if not isinstance(data, dict) or "nodes" not in data or "colors" not in data:
         raise GraphError('graph JSON needs "nodes" and "colors"')
     labels = data.get("labels")
+    if not isinstance(data["colors"], list):
+        raise GraphError('"colors" must be a list')
+    if labels is not None and not isinstance(labels, list):
+        raise GraphError('"labels" must be a list')
+    try:
+        nodes = int(data["nodes"])
+    except (TypeError, ValueError):
+        raise GraphError(f'"nodes" must be an integer, got {data["nodes"]!r}') from None
     colors = []
     for entry in data["colors"]:
         try:
@@ -409,7 +417,7 @@ def load_graph_json(text: str) -> ColoredDigraph:
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed color entry: {exc}") from None
     return ColoredDigraph(
-        int(data["nodes"]),
+        nodes,
         tuple(colors),
         tuple(str(x) for x in labels) if labels is not None else None,
     )

@@ -1,13 +1,15 @@
 """Explicit finite groups as multiplication tables, plus structural queries.
 
-Element 0 is always the identity.  Tables from untrusted sources get the full
-O(n^3) associativity check; tables produced by closure or coset enumeration
-are fully checked up to order 64 and spot-checked above that.
+Element 0 is always the identity.  A table is validated once, where it
+enters the program: a table from outside (``Group(table)``) must be a Latin
+square with identity 0 and pass Light's associativity test.  Tables built by
+coset enumeration, matrix closure, direct products, quotients, subgroups and
+regular actions are groups by construction and enter with ``trusted=True``,
+which skips the Latin-square and associativity scans.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -33,9 +35,7 @@ __all__ = [
     "direct_product",
 ]
 
-FULL_CHECK_LIMIT = 64
 SUBGROUP_ENUM_LIMIT = 64
-SPOT_CHECK_TRIPLES = 1000
 
 
 class GroupError(ValueError):
@@ -66,37 +66,15 @@ class Group:
         generators=(),
         trusted: bool = False,
     ):
+        """``trusted=True`` is only for tables that are groups by construction;
+        any other table is checked against the group axioms here."""
         rows = tuple(tuple(row) for row in table)
+        if not trusted:
+            _check_axioms(rows)
         n = len(rows)
-        if n == 0:
-            raise GroupError("empty multiplication table")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise GroupError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not isinstance(x, int) or not 0 <= x < n:
-                    raise GroupError(f"entry {x!r} in row {i} out of range")
-        if rows[0] != tuple(range(n)):
-            raise GroupError("row 0 must equal the header (element 0 is the identity)")
-        for i in range(n):
-            if rows[i][0] != i:
-                raise GroupError("column 0 must equal the header")
-        full = set(range(n))
-        for i in range(n):
-            if set(rows[i]) != full:
-                raise GroupError(f"row {i} is not a permutation (not a Latin square)")
-        for j in range(n):
-            if {rows[i][j] for i in range(n)} != full:
-                raise GroupError(f"column {j} is not a permutation (not a Latin square)")
-        inverse = [0] * n
-        for g in range(n):
-            h = rows[g].index(0)
-            if rows[h][g] != 0:
-                raise GroupError(f"element {g} has no two-sided inverse")
-            inverse[g] = h
         self.order = n
         self.table = rows
-        self.inverse = tuple(inverse)
+        self.inverse = tuple(row.index(0) for row in rows)
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
             if len(names) != n or len(set(names)) != n:
@@ -109,28 +87,6 @@ class Group:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
         self._fp = None
-        self._check_associativity(trusted)
-
-    def _check_associativity(self, trusted: bool):
-        n = self.order
-        t = self.table
-        if not trusted or n <= FULL_CHECK_LIMIT:
-            for a in range(n):
-                ta = t[a]
-                for b in range(n):
-                    tab = t[ta[b]]
-                    tb = t[b]
-                    for c in range(n):
-                        if tab[c] != ta[tb[c]]:
-                            raise GroupError(
-                                f"associativity fails at ({a},{b},{c})"
-                            )
-        else:
-            rng = random.Random(n)
-            for _ in range(SPOT_CHECK_TRIPLES):
-                a, b, c = (rng.randrange(n) for _ in range(3))
-                if t[t[a][b]][c] != t[a][t[b][c]]:
-                    raise GroupError(f"associativity fails at ({a},{b},{c})")
 
     @property
     def identity(self) -> int:
@@ -200,6 +156,69 @@ class Group:
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+def _check_axioms(rows):
+    n = len(rows)
+    if n == 0:
+        raise GroupError("empty multiplication table")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise GroupError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise GroupError(f"entry {x!r} in row {i} out of range")
+    if rows[0] != tuple(range(n)):
+        raise GroupError("row 0 must equal the header (element 0 is the identity)")
+    for i in range(n):
+        if rows[i][0] != i:
+            raise GroupError("column 0 must equal the header")
+    full = set(range(n))
+    for i in range(n):
+        if set(rows[i]) != full:
+            raise GroupError(f"row {i} is not a permutation (not a Latin square)")
+    for j, column in enumerate(zip(*rows)):
+        if set(column) != full:
+            raise GroupError(f"column {j} is not a permutation (not a Latin square)")
+    for g in range(n):
+        if rows[rows[g].index(0)][g] != 0:
+            raise GroupError(f"element {g} has no two-sided inverse")
+    if not _light_test(rows, 0):
+        x, y, z = _first_witness(rows)
+        raise GroupError(f"associativity fails at ({x},{y},{z})")
+
+
+def _light_test(rows, identity=None) -> bool:
+    """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
+    of a generating set.  It is exact for any magma, because the middle
+    elements that pass form a submagma.  Generators are picked greedily (least
+    element not yet reached); reached means a left-normed product of them, or
+    the two-sided identity when one is given, since it passes trivially."""
+    n = len(rows)
+    gens: list[int] = []
+    seeds = [] if identity is None else [identity]
+    span = set(seeds)
+    while len(span) < n:
+        gens.append(min(set(range(n)) - span))
+        queue = seeds + gens
+        span = set(queue)
+        for x in queue:
+            for y in map(rows[x].__getitem__, gens):
+                if y not in span:
+                    span.add(y)
+                    queue.append(y)
+    return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
+
+
+def _first_witness(rows) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None."""
+    n = len(rows)
+    for x, rx in enumerate(rows):
+        for y, ry in enumerate(rows):
+            rxy = rows[rx[y]]
+            if [rx[v] for v in ry] != list(rxy):
+                return next((x, y, z) for z in range(n) if rxy[z] != rx[ry[z]])
+    return None
 
 
 @dataclass(frozen=True)

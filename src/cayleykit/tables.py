@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, Identification, Subgroup, identify, quotient
+from .groups import _first_witness, _light_test
 
 __all__ = [
     "TableError",
@@ -145,51 +146,12 @@ def identity_check(t: FiniteTable) -> str | None:
 
 def associativity_witness(t: FiniteTable) -> tuple[int, int, int] | None:
     """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z)."""
-    n = t.order
-    c = t.cells
-    for x in range(n):
-        cx = c[x]
-        for y in range(n):
-            cxy = c[cx[y]]
-            cy = c[y]
-            for z in range(n):
-                if cxy[z] != cx[cy[z]]:
-                    return (x, y, z)
-    return None
+    return _first_witness(t.cells)
 
 
 def is_associative_light(t: FiniteTable) -> bool:
     """Light's test: check triples through a generating set only."""
-    n = t.order
-    c = t.cells
-
-    def close(seed: set[int]) -> set[int]:
-        span = set(seed)
-        queue = list(span)
-        while queue:
-            a = queue.pop()
-            for b in list(span):
-                for prod in (c[a][b], c[b][a]):
-                    if prod not in span:
-                        span.add(prod)
-                        queue.append(prod)
-        return span
-
-    gens: list[int] = []
-    span: set[int] = set()
-    while len(span) < n:
-        g = min(set(range(n)) - span)
-        gens.append(g)
-        span = close(set(gens))
-    for g in gens:
-        cg = c[g]
-        for x in range(n):
-            cxg = c[c[x][g]]
-            cx = c[x]
-            for y in range(n):
-                if cxg[y] != cx[cg[y]]:
-                    return False
-    return True
+    return _light_test(t.cells)
 
 
 @dataclass(frozen=True)
@@ -214,9 +176,16 @@ class Rejection:
 
 @dataclass(frozen=True)
 class TableGroupResult:
+    """The verdict on a table, with what each axiom check found: the first
+    Latin violation, the identity symbol, and the lexicographically first
+    non-associative triple (None when the table is associative)."""
+
     group: Group | None
     identification: Identification | None
     rejection: Rejection | None
+    latin_violation: LatinViolation | None
+    identity: str | None
+    witness: tuple[int, int, int] | None
 
     @property
     def ok(self) -> bool:
@@ -225,50 +194,51 @@ class TableGroupResult:
 
 def group_from_table(t: FiniteTable) -> TableGroupResult:
     """Accept the table as a group iff all axioms verify; reject with the
-    failed axiom and a concrete witness otherwise."""
+    failed axiom and a concrete witness otherwise.
+
+    Each axiom is checked once.  Light's test decides associativity; the
+    O(n^3) scan runs only on rejection, to name the first failing triple.
+    """
     violation = latin_check(t)
-    if violation is not None:
-        return TableGroupResult(None, None, Rejection("not a Latin square", violation))
     identity = identity_check(t)
-    if identity is None:
-        return TableGroupResult(None, None, Rejection("no two-sided identity"))
-    e = t.symbols.index(identity)
-    n = t.order
-    precheck = None
-    if n > 1 and n % 2 == 1 and all(t.cells[i][i] == e for i in range(n)):
-        # Lagrange rules this out before any scanning; the scan still runs
-        # so the rejection carries a concrete witness.
-        precheck = LAGRANGE_PRECHECK
-    witness = associativity_witness(t)
-    if witness is not None:
-        x, y, z = witness
-        assert t.cells[t.cells[x][y]][z] != t.cells[x][t.cells[y][z]]
-        return TableGroupResult(
-            None,
-            None,
-            Rejection(
-                "associativity fails",
-                witness=(t.symbols[x], t.symbols[y], t.symbols[z]),
-                precheck=precheck,
-            ),
-        )
-    assert precheck is None, "precheck fired but the full scan found no witness"
-    for x in range(n):
-        row = t.cells[x]
-        y = row.index(e)
-        if t.cells[y][x] != e:
-            return TableGroupResult(
-                None, None, Rejection(f"element {t.symbols[x]!r} has no two-sided inverse")
-            )
+    e = None if identity is None else t.symbols.index(identity)
+    witness = None if _light_test(t.cells, e) else associativity_witness(t)
+    rejection = _first_failed_axiom(t, violation, e, witness)
+    if rejection is not None:
+        return TableGroupResult(None, None, rejection, violation, identity, witness)
     # reorder so the identity is element 0, keeping the remaining symbol order
-    new_order = [e] + [i for i in range(n) if i != e]
+    new_order = [e] + [i for i in range(t.order) if i != e]
     pos = {old: new for new, old in enumerate(new_order)}
     table = [
         [pos[t.cells[a][b]] for b in new_order] for a in new_order
     ]
     names = tuple(t.symbols[i] for i in new_order)
     group = Group(table, element_names=names, trusted=True)
-    return TableGroupResult(group, identify(group), None)
+    return TableGroupResult(group, identify(group), None, violation, identity, witness)
+
+
+def _first_failed_axiom(t: FiniteTable, violation, e, witness) -> Rejection | None:
+    if violation is not None:
+        return Rejection("not a Latin square", violation)
+    if e is None:
+        return Rejection("no two-sided identity")
+    n = t.order
+    precheck = None
+    if n > 1 and n % 2 == 1 and all(t.cells[i][i] == e for i in range(n)):
+        # Lagrange rules this out; the rejection still names a concrete witness.
+        precheck = LAGRANGE_PRECHECK
+    if witness is not None:
+        x, y, z = witness
+        assert t.cells[t.cells[x][y]][z] != t.cells[x][t.cells[y][z]]
+        return Rejection(
+            "associativity fails",
+            witness=(t.symbols[x], t.symbols[y], t.symbols[z]),
+            precheck=precheck,
+        )
+    # an associative Latin square with an identity is a group: x*y = e
+    # makes y*x idempotent, hence e, so inverses need no check of their own
+    assert precheck is None, "precheck fired but the table is associative"
+    return None
 
 
 def render_quotient_table(G: Group, N: Subgroup) -> str:

@@ -169,3 +169,19 @@ def test_quotient_rejects_bad_word(capsys):
         ["quotient", "--presentation", "<r | r^6>", "--normal", "q^2"], capsys
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"nodes": 2, "labels": 5, "colors": []},
+        {"nodes": 2, "colors": 5},
+        {"nodes": [2], "colors": []},
+    ],
+)
+def test_malformed_graph_json_exit_code(document, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(document))
+    code, err = run_cli_err(["check-graph", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cayleykit import families
+from cayleykit import families, graphs
 from cayleykit.groups import (
     Group,
     GroupError,
@@ -58,7 +58,34 @@ def test_rejects_non_associative_latin_square():
     ]
     with pytest.raises(GroupError) as err:
         Group(cells)
-    assert "associativity" in str(err.value)
+    first = next(
+        (a, b, c)
+        for a in range(5)
+        for b in range(5)
+        for c in range(5)
+        if cells[cells[a][b]][c] != cells[a][cells[b][c]]
+    )
+    assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+
+
+def test_trusted_constructors_build_groups():
+    # trusted=True skips the axiom scans, so every trusted constructor's
+    # table must pass them when handed in as an untrusted table
+    built = [G for _, G in families.catalog_groups(64)]
+    built += [
+        families.cyclic(300),
+        families.dihedral(200),
+        families.pauli(2),
+        families.diquaternion(32),
+    ]
+    Q32 = families.quaternion(32)
+    built.append(quotient(Q32, central_involution(Q32)))
+    D12 = families.dihedral(12)
+    built.append(subgroup_closure(D12, (D12.generators[0][1],)).as_group())
+    report = graphs.analyze(graphs.fixture("mirror32"))
+    built += [report.presented_group, report.verdict.acting_group]
+    for G in built:
+        assert Group(G.table).order == G.order
 
 
 # --- element orders and center ----------------------------------------------

@@ -3,9 +3,10 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit import families
-from cayleykit.groups import is_isomorphic, subgroup_closure
+from cayleykit.groups import Group, GroupError, is_isomorphic, subgroup_closure
 from cayleykit.tables import (
     FiniteTable,
     TableError,
@@ -173,6 +174,77 @@ def intercalate_perturb(t, rng):
                 cells[r2][c1], cells[r2][c2] = cells[r2][c2], cells[r2][c1]
                 return FiniteTable(t.symbols, tuple(tuple(r) for r in cells))
     return None
+
+
+def first_witness_by_brute_force(t):
+    n = t.order
+    c = t.cells
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if c[c[x][y]][z] != c[x][c[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+@st.composite
+def small_magmas(draw):
+    n = draw(st.integers(1, 6))
+    flat = draw(st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+    rows = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
+    return FiniteTable(tuple(f"s{i}" for i in range(n)), rows)
+
+
+SMALL_GROUPS = [
+    table_from_group(G)
+    for G in (
+        families.cyclic(6),
+        families.dihedral(5),
+        families.quaternion(8),
+        families.abelian([2, 2, 2]),
+        families.dihedral(6),
+    )
+]
+
+
+@st.composite
+def perturbed_group_tables(draw):
+    """A small group table with up to two intercalate swaps, relabelled so
+    the identity can sit anywhere."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    t = draw(st.sampled_from(SMALL_GROUPS))
+    for _ in range(draw(st.integers(0, 2))):
+        t = intercalate_perturb(t, rng) or t
+    n = t.order
+    p = list(range(n))
+    rng.shuffle(p)
+    cells = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            cells[p[i]][p[j]] = p[t.cells[i][j]]
+    return FiniteTable(t.symbols, tuple(map(tuple, cells)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_magmas(), perturbed_group_tables()))
+def test_light_and_reported_witness_agree_with_full_scan(t):
+    first = first_witness_by_brute_force(t)
+    assert is_associative_light(t) == (first is None)
+    result = group_from_table(t)  # what check-table and identify --table report
+    assert result.witness == first
+    if result.rejection is not None and result.rejection.witness is not None:
+        assert result.rejection.witness == tuple(t.symbols[i] for i in first)
+    if result.ok:
+        assert first is None
+    if result.latin_violation is None and result.identity == t.symbols[0]:
+        # the untrusted Group constructor reaches the same verdict and triple
+        if first is None:
+            assert Group(t.cells).order == t.order
+        else:
+            with pytest.raises(GroupError) as err:
+                Group(t.cells)
+            if "associativity" in str(err.value):
+                assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
 
 
 # --- group_from_table ---------------------------------------------------------------
