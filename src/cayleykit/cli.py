@@ -84,7 +84,7 @@ def group_report(G: Group) -> dict:
 
 def cmd_enumerate(args) -> tuple[dict, list[str]]:
     presentation = parse_presentation(args.presentation)
-    cap = args.max_cosets if args.max_cosets else default_max_cosets()
+    cap = default_max_cosets() if args.max_cosets is None else args.max_cosets
     table = cosets.todd_coxeter(presentation, cap)
     G = cosets.group_from_coset_table(table)
     report = {

@@ -1,9 +1,21 @@
 """Todd-Coxeter coset enumeration over the trivial subgroup.
 
-HLT-style relator scanning with union-find coincidence handling.  Coset 0 is
-the trivial subgroup's coset; a closed table's columns are permutations that
-realize the right-regular action of the presented group, so the row count is
-the group order.
+HLT (Haselgrove-Leech-Trotter) order: for each live coset in turn, scan
+every relator from it, filling the one gap a scan leaves with a deduction and
+defining new cosets for longer gaps, then define its still-undefined entries.
+Coincidences are merged with union-find, the lower coset surviving.
+
+Enumeration stops early at the first complete table (no live row with an
+undefined entry, no pending coincidence) on which every relator closes at
+every coset: HLT would scan to the end from there without a definition or a
+merge, so that table is the one it would return.  If that first complete
+table fails the check, HLT goes on to the end.  Either way the returned table
+has passed one relator check, run column by column on the compacted table,
+which raises rather than asserts.
+
+Coset 0 is the trivial subgroup's coset; a closed table's columns are
+permutations that realize the right-regular action of the presented group, so
+the row count is the group order.
 """
 
 from __future__ import annotations
@@ -11,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group
-from .words import Presentation, Word, label_word
+from .words import Presentation, Word, format_word, label_word
 
 __all__ = [
     "CapExceeded",
@@ -47,6 +59,19 @@ class CosetTable:
             k = self.forward[gen][k] if sign > 0 else self.backward[gen][k]
         return k
 
+    def open_relator(self) -> tuple[Word, int] | None:
+        """The first relator that fails to close and the first coset where it
+        fails, or None.  Traces all cosets at once, one column per letter."""
+        start = list(range(self.num_cosets))
+        for rel in self.presentation.relators:
+            k = start
+            for gen, sign in rel:
+                col = self.forward[gen] if sign > 0 else self.backward[gen]
+                k = [col[x] for x in k]
+            if k != start:
+                return rel, next(x for x in start if k[x] != x)
+        return None
+
 
 class _Enumerator:
     def __init__(self, presentation: Presentation, max_cosets: int):
@@ -54,25 +79,24 @@ class _Enumerator:
         self.max_cosets = max_cosets
         ngens = presentation.rank
         self.ncols = 2 * ngens
-        # column 2g acts by generator g, column 2g+1 by its inverse
+        # column 2g acts by generator g, column 2g+1 by its inverse (col ^ 1)
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over cosets
         self.queue: list[tuple[int, int]] = []  # pending coincidences
+        # every live row below this index has all its entries defined
+        self.first_open = 0
         self.relator_cols = [
             [2 * gen if sign > 0 else 2 * gen + 1 for gen, sign in rel]
             for rel in presentation.relators
         ]
 
-    @staticmethod
-    def _inv(col: int) -> int:
-        return col ^ 1
-
     def rep(self, k: int) -> int:
+        parent = self.parent
         root = k
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[k] != root:
-            self.parent[k], k = root, self.parent[k]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[k] != root:
+            parent[k], k = root, parent[k]
         return root
 
     def define(self, alpha: int, col: int) -> int:
@@ -82,10 +106,11 @@ class _Enumerator:
                 f"coset cap {self.max_cosets} exceeded ({live} live cosets)", live
             )
         beta = len(self.table)
-        self.table.append([None] * self.ncols)
+        row: list[int | None] = [None] * self.ncols
+        row[col ^ 1] = alpha
+        self.table.append(row)
         self.parent.append(beta)
         self.table[alpha][col] = beta
-        self.table[beta][self._inv(col)] = alpha
         return beta
 
     def merge(self, a: int, b: int):
@@ -98,45 +123,49 @@ class _Enumerator:
         self.queue.append((a, b))
 
     def process_coincidences(self):
-        while self.queue:
-            live, dead = self.queue.pop()
-            live = self.rep(live)
-            for col in range(self.ncols):
-                delta = self.table[dead][col]
+        table, queue, rep = self.table, self.queue, self.rep
+        while queue:
+            live, dead = queue.pop()
+            live = rep(live)
+            for col, delta in enumerate(table[dead]):
                 if delta is None:
                     continue
+                inv = col ^ 1
                 # detach the back-reference before re-attaching
-                if self.table[delta][self._inv(col)] == dead:
-                    self.table[delta][self._inv(col)] = None
-                delta = self.rep(delta)
-                mu = self.rep(live)
-                existing = self.table[mu][col]
+                if table[delta][inv] == dead:
+                    table[delta][inv] = None
+                    if delta < self.first_open:
+                        self.first_open = delta
+                delta = rep(delta)
+                mu = rep(live)
+                existing = table[mu][col]
                 if existing is not None:
                     self.merge(existing, delta)
                     # mu.col = existing ~ delta, so delta's class maps back to mu;
                     # restore the detached back-reference on the survivor
-                    survivor = self.rep(delta)
-                    if self.table[survivor][self._inv(col)] is None:
-                        self.table[survivor][self._inv(col)] = mu
+                    survivor = rep(delta)
+                    if table[survivor][inv] is None:
+                        table[survivor][inv] = mu
                 else:
-                    self.table[mu][col] = delta
-                    back = self.table[delta][self._inv(col)]
+                    table[mu][col] = delta
+                    back = table[delta][inv]
                     if back is None:
-                        self.table[delta][self._inv(col)] = mu
+                        table[delta][inv] = mu
                     else:
                         self.merge(back, mu)
 
     def scan_and_fill(self, alpha: int, cols: list[int]):
         # table entries can reference merged-away cosets, so resolve on read
+        table, parent, rep = self.table, self.parent, self.rep
         front, back = alpha, alpha
         i, j = 0, len(cols) - 1
         while True:
             # scan forward as far as the table is defined
             while i <= j:
-                nxt = self.table[front][cols[i]]
+                nxt = table[front][cols[i]]
                 if nxt is None:
                     break
-                front = self.rep(nxt)
+                front = nxt if parent[nxt] == nxt else rep(nxt)
                 i += 1
             if i > j:
                 if front != back:
@@ -144,75 +173,95 @@ class _Enumerator:
                 return
             # scan backward through inverse entries
             while j >= i:
-                prv = self.table[back][self._inv(cols[j])]
+                prv = table[back][cols[j] ^ 1]
                 if prv is None:
                     break
-                back = self.rep(prv)
+                back = prv if parent[prv] == prv else rep(prv)
                 j -= 1
             if j < i:
                 self.merge(front, back)
                 return
             if i == j:
                 # one gap: a deduction closes the scan
-                self.table[front][cols[i]] = back
-                other = self.table[back][self._inv(cols[i])]
+                col = cols[i]
+                table[front][col] = back
+                other = table[back][col ^ 1]
                 if other is None:
-                    self.table[back][self._inv(cols[i])] = front
+                    table[back][col ^ 1] = front
                 elif other != front:
                     self.merge(other, front)
                 return
             front = self.define(front, cols[i])
             i += 1
 
+    def is_complete(self) -> bool:
+        """True when no live row has an undefined entry."""
+        table, parent = self.table, self.parent
+        k = self.first_open
+        while k < len(table) and (parent[k] != k or None not in table[k]):
+            k += 1
+        self.first_open = k
+        return k == len(table)
+
     def run(self) -> CosetTable:
+        table, parent, queue = self.table, self.parent, self.queue
+        early_check = True
         alpha = 0
-        while alpha < len(self.table):
-            if self.rep(alpha) != alpha:
+        while alpha < len(table):
+            if parent[alpha] != alpha:
                 alpha += 1
                 continue
             for cols in self.relator_cols:
                 self.scan_and_fill(alpha, cols)
-                self.process_coincidences()
-                if self.rep(alpha) != alpha:
+                if queue:
+                    self.process_coincidences()
+                if parent[alpha] != alpha:
                     break
-            if self.rep(alpha) == alpha:
+            if parent[alpha] == alpha:
+                row = table[alpha]
                 for col in range(self.ncols):
-                    if self.table[alpha][col] is None:
+                    if row[col] is None:
                         self.define(alpha, col)
-                        self.process_coincidences()
             alpha += 1
-        return self._compact()
+            # a complete table on which every relator closes is final: HLT
+            # would scan every row to the end without a definition or merge
+            if early_check and self.is_complete():
+                early_check = False
+                closed = self._compact()
+                if closed.open_relator() is None:
+                    return closed
+        closed = self._compact()
+        failure = closed.open_relator()
+        if failure is not None:
+            rel, coset = failure
+            raise RuntimeError(
+                f"coset table does not close relator "
+                f"{format_word(rel, self.pres.generators)} at coset {coset}"
+            )
+        return closed
 
     def _compact(self) -> CosetTable:
-        live = [k for k in range(len(self.table)) if self.rep(k) == k]
+        rep = self.rep
+        live = [k for k, p in enumerate(self.parent) if p == k]
         new_index = {old: new for new, old in enumerate(live)}
-        ngens = self.pres.rank
-        forward = []
-        backward = []
-        for g in range(ngens):
-            fwd, bwd = [], []
-            for old in live:
-                f = self.table[old][2 * g]
-                b = self.table[old][2 * g + 1]
-                assert f is not None and b is not None
-                fwd.append(new_index[self.rep(f)])
-                bwd.append(new_index[self.rep(b)])
-            forward.append(tuple(fwd))
-            backward.append(tuple(bwd))
-        return CosetTable(self.pres, tuple(forward), tuple(backward), len(live))
+        rows = [self.table[k] for k in live]
+        columns = [
+            tuple(new_index[rep(row[col])] for row in rows) for col in range(self.ncols)
+        ]
+        return CosetTable(
+            self.pres, tuple(columns[0::2]), tuple(columns[1::2]), len(live)
+        )
 
 
 def todd_coxeter(
     presentation: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
 ) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup; raise CapExceeded on overflow."""
+    """Enumerate cosets of the trivial subgroup; raise CapExceeded on overflow.
+
+    The returned table is checked: every relator closes at every coset."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    table = _Enumerator(presentation, max_cosets).run()
-    for rel in presentation.relators:  # closed tables trace every relator home
-        for k in range(table.num_cosets):
-            assert table.trace(k, rel) == k
-    return table
+    return _Enumerator(presentation, max_cosets).run()
 
 
 def group_from_coset_table(table: CosetTable) -> Group:
@@ -249,9 +298,7 @@ def group_from_coset_table(table: CosetTable) -> Group:
         parent, g = parents[j]  # type: ignore[misc]
         col = succ[g]
         columns[j] = [col[x] for x in columns[parent]]
-    mul = tuple(
-        tuple(columns[j][i] for j in range(n)) for i in range(n)
-    )
+    mul = tuple(zip(*columns))
     names = tuple(label_word(w, table.presentation.generators) for w in words)
     generators = tuple(
         (name, succ[g][0]) for g, name in enumerate(table.presentation.generators)

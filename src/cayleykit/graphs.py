@@ -93,46 +93,48 @@ def color_permutations(
     n = graph.node_count
     perms = []
     for color in graph.colors:
-        image: list[int | None] = [None] * n
+        # kept by node, so that a colour with fewer edges than it needs fails
+        # at its first bare node before anything of size n is built
+        image: dict[int, int] = {}
         if color.directed:
-            indeg = [0] * n
+            indeg: dict[int, int] = {}
             for u, v in color.edges:
                 if u == v:
                     raise GraphError(f"color {color.name!r}: self-loop at node {u}")
-                if image[u] is not None:
+                if u in image:
                     raise GraphError(
                         f"color {color.name!r}: node {u} has two outgoing edges"
                     )
                 image[u] = v
-                indeg[v] += 1
+                indeg[v] = indeg.get(v, 0) + 1
             for node in range(n):
-                if image[node] is None:
+                if node not in image:
                     raise GraphError(
                         f"color {color.name!r}: node {node} has no outgoing edge"
                     )
-                if indeg[node] != 1:
+                if indeg.get(node, 0) != 1:
                     raise GraphError(
-                        f"color {color.name!r}: node {node} has {indeg[node]} incoming edges"
+                        f"color {color.name!r}: node {node} has "
+                        f"{indeg.get(node, 0)} incoming edges"
                     )
         else:
             for u, v in color.edges:
                 if u == v:
                     raise GraphError(f"color {color.name!r}: self-loop at node {u}")
-                if image[u] is not None or image[v] is not None:
+                if u in image or v in image:
                     raise GraphError(
-                        f"color {color.name!r}: node {u if image[u] is not None else v} "
+                        f"color {color.name!r}: node {u if u in image else v} "
                         "is matched twice"
                     )
                 image[u], image[v] = v, u
-            for node in range(n):
-                if image[node] is None:
-                    if not allow_fixed_points:
+            if not allow_fixed_points:
+                for node in range(n):
+                    if node not in image:
                         raise GraphError(
                             f"color {color.name!r}: node {node} is unmatched "
                             "(an order-2 generator fixes no vertex)"
                         )
-                    image[node] = node
-        perm = tuple(image)  # type: ignore[arg-type]
+        perm = tuple(image.get(node, node) for node in range(n))
         if perm == tuple(range(n)):
             raise GraphError(f"color {color.name!r}: permutation is the identity")
         perms.append(perm)
@@ -224,7 +226,7 @@ def _group_from_regular_action(graph: ColoredDigraph, elements, perms) -> Group:
     for p in elements:
         by_image[p[0]] = p
     h = [by_image[j] for j in range(n)]
-    table = tuple(tuple(h[j][i] for j in range(n)) for i in range(n))
+    table = tuple(zip(*h))
     names = tuple(graph.label_of(i) for i in range(n))
     gens = []
     seen = set()
@@ -388,6 +390,13 @@ def fixture(name: str) -> ColoredDigraph:
     return load_graph_json(text)
 
 
+def _integer(value, what: str) -> int:
+    # a JSON integer: not a float, however integral, nor a boolean or string
+    if type(value) is not int:
+        raise GraphError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def load_graph_json(text: str) -> ColoredDigraph:
     try:
         data = json.loads(text)
@@ -400,10 +409,7 @@ def load_graph_json(text: str) -> ColoredDigraph:
         raise GraphError('"colors" must be a list')
     if labels is not None and not isinstance(labels, list):
         raise GraphError('"labels" must be a list')
-    try:
-        nodes = int(data["nodes"])
-    except (TypeError, ValueError):
-        raise GraphError(f'"nodes" must be an integer, got {data["nodes"]!r}') from None
+    nodes = _integer(data["nodes"], '"nodes"')
     colors = []
     for entry in data["colors"]:
         try:
@@ -411,7 +417,10 @@ def load_graph_json(text: str) -> ColoredDigraph:
                 EdgeColor(
                     str(entry["name"]),
                     bool(entry["directed"]),
-                    tuple((int(u), int(v)) for u, v in entry["edges"]),
+                    tuple(
+                        (_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
+                        for u, v in entry["edges"]
+                    ),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

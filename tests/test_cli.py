@@ -171,12 +171,20 @@ def test_quotient_rejects_bad_word(capsys):
     assert code == 2
 
 
+# a valid two-node Cayley graph, so that only the field under test is wrong
+TWO_CYCLE = {"name": "r", "directed": True, "edges": [[0, 1], [1, 0]]}
+
+
 @pytest.mark.parametrize(
     "document",
     [
         {"nodes": 2, "labels": 5, "colors": []},
         {"nodes": 2, "colors": 5},
         {"nodes": [2], "colors": []},
+        {"nodes": 2.5, "colors": [TWO_CYCLE]},
+        {"nodes": True, "colors": [TWO_CYCLE]},
+        {"nodes": 2, "colors": [{**TWO_CYCLE, "edges": [[0, 1.7], [1, 0]]}]},
+        {"nodes": 2, "colors": [{**TWO_CYCLE, "edges": [[0, True], [True, 0]]}]},
     ],
 )
 def test_malformed_graph_json_exit_code(document, tmp_path, capsys):
@@ -185,3 +193,35 @@ def test_malformed_graph_json_exit_code(document, tmp_path, capsys):
     code, err = run_cli_err(["check-graph", str(path)], capsys)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "directed, message",
+    [
+        (True, "error: color 'r': node 0 has 0 incoming edges\n"),
+        (False, "error: color 'r': node 2 is unmatched (an order-2 generator fixes no vertex)\n"),
+    ],
+)
+def test_graph_with_too_few_edges_fails_before_allocating(
+    directed, message, tmp_path, capsys
+):
+    # a list with one slot per node cannot even be requested at this size,
+    # so building one would end in a MemoryError rather than exit 2
+    color = {"name": "r", "directed": directed, "edges": [[0, 1]]}
+    document = {"nodes": 10**15, "colors": [color]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(document))
+    code, err = run_cli_err(["check-graph", str(path)], capsys)
+    assert (code, err) == (2, message)
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_cosets_flag_below_one_is_usage_error(cap, capsys):
+    code, err = run_cli_err(["enumerate", "<r | r^4>", f"--max-cosets={cap}"], capsys)
+    assert (code, err) == (2, "error: max_cosets must be at least 1\n")
+
+
+def test_max_cosets_env_below_one_is_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "0")
+    code, err = run_cli_err(["enumerate", "<r | r^4>"], capsys)
+    assert (code, err) == (2, "error: max_cosets must be at least 1\n")

@@ -1,13 +1,28 @@
-import pytest
+import os
+import pathlib
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cayleykit import cosets, families
 from cayleykit.cosets import (
     CapExceeded,
     group_from_coset_table,
     group_from_presentation,
     todd_coxeter,
 )
+from cayleykit.graphs import (
+    ColoredDigraph,
+    EdgeColor,
+    build_cayley_graph,
+    extract_presentation,
+)
 from cayleykit.groups import identify
-from cayleykit.words import parse_presentation
+from cayleykit.words import Presentation, free_reduce, parse_presentation
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def enumerate_text(text, max_cosets=65536):
@@ -135,3 +150,104 @@ def test_triangle_style_presentations():
     ident = identify(sym4)
     assert ident.name is None
     assert "order=24" in ident.describe()
+
+
+def _closure_order(perms, limit):
+    """Order of the group the permutations generate, or limit + 1 if larger."""
+    identity = tuple(range(len(perms[0])))
+    seen = {identity}
+    frontier = [identity]
+    while frontier and len(seen) <= limit:
+        nxt = []
+        for p in frontier:
+            for g in perms:
+                q = tuple(g[x] for x in p)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return min(len(seen), limit + 1)
+
+
+LETTERS = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+WORDS = st.lists(st.lists(LETTERS, min_size=1, max_size=6), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 6), st.integers(2, 6), WORDS)
+def test_random_presentations_close_or_hit_the_cap(i, j, words):
+    # a^i and b^j keep many of these finite; the short words add collapses
+    powers = [[(0, 1)] * i, [(1, 1)] * j]
+    relators = tuple(r for r in (free_reduce(tuple(w)) for w in powers + words) if r)
+    p = Presentation(("a", "b"), relators)
+    try:
+        table = todd_coxeter(p, max_cosets=200)
+    except CapExceeded:
+        return
+    n = table.num_cosets
+    for fwd, bwd in zip(table.forward, table.backward):
+        assert sorted(fwd) == list(range(n))
+        assert all(bwd[fwd[k]] == k for k in range(n))
+    for rel in p.relators:
+        for k in range(n):
+            assert table.trace(k, rel) == k
+    # the columns act regularly: the group they generate has one element per coset
+    assert _closure_order(table.forward, n) == n
+
+
+def test_enumeration_resumes_when_first_complete_table_fails_check(monkeypatch):
+    # D_4's Cayley graph with two rotation edges crossed over: its loop
+    # relators collapse the presented group to order 2, and the first
+    # complete table HLT reaches does not yet close every relator
+    graph = build_cayley_graph(families.dihedral(4))
+    colors = list(graph.colors)
+    ci = next(i for i, c in enumerate(colors) if c.directed)
+    edges = list(colors[ci].edges)
+    (u, v), (x, y) = edges[1], edges[5]
+    edges[1], edges[5] = (u, y), (x, v)
+    colors[ci] = EdgeColor(colors[ci].name, True, tuple(edges))
+    p = extract_presentation(ColoredDigraph(graph.node_count, tuple(colors)))
+
+    checks = []
+    open_relator = cosets.CosetTable.open_relator
+
+    def spy(table):
+        result = open_relator(table)
+        checks.append(result is None)
+        return result
+
+    monkeypatch.setattr(cosets.CosetTable, "open_relator", spy)
+    table = todd_coxeter(p)
+    assert checks == [False, True]
+    assert table.num_cosets == 2
+
+
+def test_corrupted_table_is_rejected_under_optimize():
+    # the closing check is a real exception, so python -O keeps it
+    script = """
+if __debug__:
+    raise SystemExit("asserts are live: not running under -O")
+from cayleykit import cosets
+from cayleykit.words import parse_presentation
+
+compact = cosets._Enumerator._compact
+
+def corrupted(self):
+    t = compact(self)
+    fwd = list(t.forward[0])
+    fwd[0], fwd[1] = fwd[1], fwd[0]
+    return cosets.CosetTable(t.presentation, (tuple(fwd),) + t.forward[1:],
+                             t.backward, t.num_cosets)
+
+cosets._Enumerator._compact = corrupted
+try:
+    cosets.todd_coxeter(parse_presentation("<r,f | r^4=f^2=1, rfr=f>"))
+except RuntimeError as exc:
+    print(exc)
+"""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out.startswith("coset table does not close relator")
