@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group
+from .groups import Group, GroupError, group_from_action
 from .words import Presentation, Word, format_word, label_word
 
 __all__ = [
@@ -276,7 +276,6 @@ def group_from_coset_table(table: CosetTable) -> Group:
     bfs: list[int] = [0]
     order_of[0] = 0
     words: list[Word] = [()]
-    parents: list[tuple[int, int] | None] = [None]  # (parent new index, generator)
     head = 0
     while head < len(bfs):
         old = bfs[head]
@@ -286,24 +285,18 @@ def group_from_coset_table(table: CosetTable) -> Group:
                 order_of[nxt] = len(bfs)
                 bfs.append(nxt)
                 words.append(words[head] + ((g, 1),))
-                parents.append((head, g))
         head += 1
-    assert len(bfs) == n
+    if len(bfs) != n:
+        raise GroupError(f"coset table is not transitive: {len(bfs)} of {n} reached")
 
     succ = [
         [order_of[table.forward[g][old]] for old in bfs] for g in range(ngens)
     ]
-    columns: list[list[int]] = [list(range(n))] + [[] for _ in range(n - 1)]
-    for j in range(1, n):
-        parent, g = parents[j]  # type: ignore[misc]
-        col = succ[g]
-        columns[j] = [col[x] for x in columns[parent]]
-    mul = tuple(zip(*columns))
     names = tuple(label_word(w, table.presentation.generators) for w in words)
     generators = tuple(
         (name, succ[g][0]) for g, name in enumerate(table.presentation.generators)
     )
-    return Group(mul, element_names=names, generators=generators, trusted=True)
+    return group_from_action(succ, element_names=names, generators=generators)
 
 
 def group_from_presentation(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import cosets
-from .groups import Group, Identification, identify, subgroup_closure
+from .groups import Group, Identification, group_from_action, identify, subgroup_closure
 from .words import Presentation, Word, free_reduce, inverse_word
 
 __all__ = [
@@ -159,24 +159,21 @@ def _orbit_of_zero(perms) -> set[int]:
     return seen
 
 
-def _closure(perms, limit: int):
-    """BFS closure in generator order; returns (elements, exceeded_limit)."""
+def _closure(perms, limit: int) -> int | None:
+    """Order of the group the permutations generate, or None past the limit."""
     n = len(perms[0])
     ident = tuple(range(n))
     elements = [ident]
-    index = {ident: 0}
-    head = 0
-    while head < len(elements):
-        current = elements[head]
+    seen = {ident}
+    for current in elements:  # a BFS queue, appended to while walked
         for p in perms:
             q = _pmul(current, p)
-            if q not in index:
-                index[q] = len(elements)
+            if q not in seen:
+                seen.add(q)
                 elements.append(q)
                 if len(elements) > limit:
-                    return elements, True
-        head += 1
-    return elements, False
+                    return None
+    return len(elements)
 
 
 @dataclass(frozen=True)
@@ -201,11 +198,10 @@ def is_cayley(
     perms = color_permutations(graph, allow_fixed_points)
     n = graph.node_count
     connected = len(_orbit_of_zero(perms)) == n
-    limit = order_cap if full_order else n
-    elements, exceeded = _closure(perms, limit)
-    order = None if exceeded else len(elements)
+    order = _closure(perms, order_cap if full_order else n)
+    exceeded = order is None
     regular = connected and order == n
-    acting = _group_from_regular_action(graph, elements, perms) if regular else None
+    acting = _group_from_regular_action(graph, perms) if regular else None
     return GraphVerdict(
         connected=connected,
         transitive=connected,
@@ -218,16 +214,10 @@ def is_cayley(
     )
 
 
-def _group_from_regular_action(graph: ColoredDigraph, elements, perms) -> Group:
-    # regular: node j corresponds to the unique element sending node 0 to j,
-    # and the color permutation for s is that element, so s sits at node 0.s
-    n = graph.node_count
-    by_image = {}
-    for p in elements:
-        by_image[p[0]] = p
-    h = [by_image[j] for j in range(n)]
-    table = tuple(zip(*h))
-    names = tuple(graph.label_of(i) for i in range(n))
+def _group_from_regular_action(graph: ColoredDigraph, perms) -> Group:
+    # regular: node j is the unique element sending node 0 to j, and the
+    # colour permutation for s is right multiplication by s, so s is node 0.s
+    names = tuple(graph.label_of(i) for i in range(graph.node_count))
     gens = []
     seen = set()
     for color, perm in zip(graph.colors, perms):
@@ -235,7 +225,7 @@ def _group_from_regular_action(graph: ColoredDigraph, elements, perms) -> Group:
         if el != 0 and el not in seen:
             gens.append((color.name, el))
             seen.add(el)
-    return Group(table, element_names=names, generators=tuple(gens), trusted=True)
+    return group_from_action(perms, element_names=names, generators=tuple(gens))
 
 
 def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
@@ -397,6 +387,13 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _boolean(value, what: str) -> bool:
+    # a JSON boolean: any string, even "false", would be truthy
+    if type(value) is not bool:
+        raise GraphError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def load_graph_json(text: str) -> ColoredDigraph:
     try:
         data = json.loads(text)
@@ -416,7 +413,7 @@ def load_graph_json(text: str) -> ColoredDigraph:
             colors.append(
                 EdgeColor(
                     str(entry["name"]),
-                    bool(entry["directed"]),
+                    _boolean(entry["directed"], '"directed"'),
                     tuple(
                         (_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
                         for u, v in entry["edges"]

@@ -2,10 +2,12 @@
 
 Element 0 is always the identity.  A table is validated once, where it
 enters the program: a table from outside (``Group(table)``) must be a Latin
-square with identity 0 and pass Light's associativity test.  Tables built by
-coset enumeration, matrix closure, direct products, quotients, subgroups and
-regular actions are groups by construction and enter with ``trusted=True``,
-which skips the Latin-square and associativity scans.
+square with identity 0 and pass Light's associativity test.  A regular action
+(a closed coset table, a matrix closure, a Cayley graph's colours) enters
+through ``group_from_action``, the one constructor that turns generator
+columns into a table.  Its tables, direct products, quotients and subgroups
+are groups by construction and enter with ``trusted=True``, which skips the
+Latin-square and associativity scans.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import gcd
 __all__ = [
     "GroupError",
     "Group",
+    "group_from_action",
     "Subgroup",
     "Fingerprint",
     "Identification",
@@ -92,12 +95,6 @@ class Group:
     def identity(self) -> int:
         return 0
 
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def power(self, g: int, k: int) -> int:
         if k < 0:
             g, k = self.inverse[g], -k
@@ -152,6 +149,28 @@ class Group:
 
     def __repr__(self):
         return f"Group(order={self.order})"
+
+
+def group_from_action(columns, element_names=None, generators=()) -> Group:
+    """The group acting regularly on points 0..n-1, with point 0 as identity.
+
+    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives each
+    point y its right-multiplication map, a child y*g taking its parent's map
+    followed by g's column.  Raises GroupError unless every point is reached.
+    """
+    n = len(columns[0])
+    right: list[list[int] | None] = [None] * n
+    right[0] = list(range(n))
+    reached = [0]
+    for y in reached:  # a BFS queue, appended to while walked
+        for col in columns:
+            z = col[y]
+            if right[z] is None:
+                right[z] = [col[v] for v in right[y]]
+                reached.append(z)
+    if len(reached) != n:
+        raise GroupError(f"action is not transitive: {len(reached)} of {n} reached")
+    return Group(tuple(zip(*right)), element_names, generators, trusted=True)
 
 
 def _lcm(a: int, b: int) -> int:

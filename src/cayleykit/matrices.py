@@ -16,16 +16,12 @@ import cmath
 from dataclasses import dataclass
 
 from .cosets import CapExceeded
-from .groups import Group
+from .groups import Group, group_from_action
 
 __all__ = [
     "LevelMismatch",
     "CycInt",
     "CycMatrix",
-    "cyc_add",
-    "cyc_neg",
-    "cyc_mul",
-    "mat_mul",
     "kronecker",
     "rot_matrix",
     "j_matrix",
@@ -189,18 +185,6 @@ class CycInt:
         return f"CycInt(level={self.level}, {self})"
 
 
-def cyc_add(a: CycInt, b: CycInt) -> CycInt:
-    return a + b
-
-
-def cyc_neg(a: CycInt) -> CycInt:
-    return -a
-
-
-def cyc_mul(a: CycInt, b: CycInt) -> CycInt:
-    return a * b
-
-
 class CycMatrix:
     """Square matrix over CycInt with power-of-two dimension, uniform level."""
 
@@ -267,10 +251,6 @@ class CycMatrix:
         return f"CycMatrix(level={self.level}, {self})"
 
 
-def mat_mul(a: CycMatrix, b: CycMatrix) -> CycMatrix:
-    return a * b
-
-
 def kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     if a.level != b.level:
         raise LevelMismatch(f"level {a.level} vs {b.level}; promote explicitly")
@@ -326,13 +306,9 @@ def matrix_group_closure(
     ident = CycMatrix.identity(dim, level)
     elements = [ident]
     index = {ident: 0}
-    parents: list[tuple[int, int] | None] = [None]
-    succ: list[list[int]] = []
-    head = 0
-    while head < len(elements):
-        row = []
-        m = elements[head]
-        for gi, g in enumerate(gens):
+    columns: list[list[int]] = [[] for _ in gens]  # columns[gi][x] = x * gens[gi]
+    for m in elements:  # a BFS queue, appended to while walked
+        for g, col in zip(gens, columns):
             prod = m * g
             at = index.get(prod)
             if at is None:
@@ -343,20 +319,11 @@ def matrix_group_closure(
                     )
                 index[prod] = at
                 elements.append(prod)
-                parents.append((head, gi))
-            row.append(at)
-        succ.append(row)
-        head += 1
+            col.append(at)
 
-    n = len(elements)
-    columns: list[list[int]] = [list(range(n))] + [[] for _ in range(n - 1)]
-    for j in range(1, n):
-        parent, gi = parents[j]  # type: ignore[misc]
-        columns[j] = [succ[x][gi] for x in columns[parent]]
-    table = tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
     labels = tuple(str(m) for m in elements)
-    gen_entries = tuple((names[gi], succ[0][gi]) for gi in range(len(gens)))
-    return Group(table, element_names=labels, generators=gen_entries, trusted=True)
+    gen_entries = tuple((name, col[0]) for name, col in zip(names, columns))
+    return group_from_action(columns, element_names=labels, generators=gen_entries)
 
 
 def diquaternion_group(quaternion_order: int) -> Group:

@@ -32,6 +32,11 @@ Word = tuple[Letter, ...]
 
 GENERATOR_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
+# Bound on outside input: the letters that parsing one text may build, each
+# power counted as multiplied out (nested ones at every level) and each copy of
+# a chain's base word; every count is made before its letters are built.
+MAX_EXPANDED_LETTERS = 10**6
+
 
 class ParseError(ValueError):
     """Raised on malformed presentation text; carries the 0-based position."""
@@ -122,6 +127,15 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.room = MAX_EXPANDED_LETTERS  # letters the text may still build
+
+    def spend(self, letters: int):  # before the letters are built
+        if letters > self.room:
+            raise ParseError(
+                f"words expand to more than {MAX_EXPANDED_LETTERS} letters",
+                self.pos,
+            )
+        self.room -= letters
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -174,6 +188,7 @@ def _parse_word(sc: _Scanner, gen_index: dict[str, int], by_length: list[str]) -
             inner = _parse_word(sc, gen_index, by_length)
             sc.expect(")")
             exp = sc.integer() if sc.try_char("^") else 1
+            sc.spend(len(inner) * abs(exp))
             letters.extend(word_power(inner, exp))
             continue
         if sc.pos < len(sc.text) and sc.text[sc.pos] == "1":
@@ -192,6 +207,7 @@ def _parse_word(sc: _Scanner, gen_index: dict[str, int], by_length: list[str]) -
             break
         sc.pos += len(matched)
         exp = sc.integer() if sc.try_char("^") else 1
+        sc.spend(abs(exp))
         letters.extend(word_power(((gen_index[matched], 1),), exp))
     if sc.pos == start:
         raise ParseError("expected a word", sc.pos)
@@ -237,7 +253,9 @@ def parse_presentation(text: str) -> Presentation:
             new = [chain[0]]
         else:
             base = () if () in chain else chain[-1]
-            new = [concat(w, inverse_word(base)) for w in chain if w != base]
+            others = [w for w in chain if w != base]
+            sc.spend(len(base) * len(others))
+            new = [concat(w, inverse_word(base)) for w in others]
         relators.extend(w for w in new if w)
         if not sc.try_char(","):
             break

@@ -185,6 +185,7 @@ TWO_CYCLE = {"name": "r", "directed": True, "edges": [[0, 1], [1, 0]]}
         {"nodes": True, "colors": [TWO_CYCLE]},
         {"nodes": 2, "colors": [{**TWO_CYCLE, "edges": [[0, 1.7], [1, 0]]}]},
         {"nodes": 2, "colors": [{**TWO_CYCLE, "edges": [[0, True], [True, 0]]}]},
+        {"nodes": 2, "colors": [{**TWO_CYCLE, "directed": "false"}]},
     ],
 )
 def test_malformed_graph_json_exit_code(document, tmp_path, capsys):
@@ -225,3 +226,18 @@ def test_max_cosets_env_below_one_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("CAYLEY_MAX_COSETS", "0")
     code, err = run_cli_err(["enumerate", "<r | r^4>"], capsys)
     assert (code, err) == (2, "error: max_cosets must be at least 1\n")
+
+
+@pytest.mark.parametrize(
+    "argv, position",
+    [
+        (["enumerate", "<r | r^100000000000>"], 19),
+        (["enumerate", "<a,b | (a b)^99999999999>"], 24),
+        (["make", "cyclic", "100000000000"], 19),
+    ],
+)
+def test_huge_power_fails_before_expanding(argv, position, capsys):
+    # unbounded, each of these asks for a tuple of ~10^11 letters (MemoryError)
+    code, err = run_cli_err(argv, capsys)
+    message = "error: words expand to more than 1000000 letters"
+    assert (code, err) == (2, f"{message} (at position {position})\n")

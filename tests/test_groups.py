@@ -1,4 +1,8 @@
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -13,6 +17,7 @@ from cayleykit.groups import (
     derived_subgroup,
     direct_product,
     enumerate_subgroups,
+    group_from_action,
     has_semidirect_decomposition,
     identify,
     is_isomorphic,
@@ -86,6 +91,48 @@ def test_trusted_constructors_build_groups():
     built += [report.presented_group, report.verdict.acting_group]
     for G in built:
         assert Group(G.table).order == G.order
+
+
+def test_group_from_action_rebuilds_each_catalog_table():
+    # right multiplication by the recorded generators is a regular action
+    for name, G in families.catalog_groups(64):
+        columns = [[G.table[x][g] for x in range(G.order)] for _, g in G.generators]
+        rebuilt = group_from_action(columns, G.element_names, G.generators)
+        assert rebuilt.table == G.table, name
+        assert rebuilt.generators == G.generators, name
+
+
+def test_non_transitive_action_is_rejected_under_optimize():
+    # two disjoint transpositions on 4 points reach only {0, 1} from 0; the
+    # check is a real exception, so python -O keeps it
+    script = """
+if __debug__:
+    raise SystemExit("asserts are live: not running under -O")
+from cayleykit.cosets import CosetTable, group_from_coset_table
+from cayleykit.groups import GroupError, group_from_action
+from cayleykit.words import parse_presentation
+
+swaps = ((1, 0, 2, 3), (0, 1, 3, 2))
+try:
+    group_from_action(swaps)
+except GroupError as exc:
+    print(exc)
+p = parse_presentation("<a,b | a^2, b^2, a b a b>")
+try:
+    group_from_coset_table(CosetTable(p, swaps, swaps, 4))
+except GroupError as exc:
+    print(exc)
+"""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    assert out == (
+        "action is not transitive: 2 of 4 reached\n"
+        "coset table is not transitive: 2 of 4 reached\n"
+    )
 
 
 # --- element orders and center ----------------------------------------------
