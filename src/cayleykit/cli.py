@@ -12,6 +12,7 @@ exceeded, 4 --expect mismatch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -20,14 +21,14 @@ from importlib import resources
 
 from . import cosets, families, graphs, tables
 from .cosets import CapExceeded
-from .groups import (
-    Fingerprint,
-    Group,
-    identify,
-    normal_closure,
-    quotient as group_quotient,
+from .groups import Group, identify, normal_closure, quotient as group_quotient
+from .words import (
+    ParseError,
+    evaluate_word,
+    format_presentation,
+    parse_presentation,
+    parse_word,
 )
-from .words import ParseError, format_presentation, parse_presentation, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -52,17 +53,6 @@ def default_max_cosets() -> int:
         raise ParseError(f"CAYLEY_MAX_COSETS must be an integer, got {value!r}", 0)
 
 
-def fingerprint_json(fp: Fingerprint) -> dict:
-    return {
-        "order": fp.order,
-        "abelian": fp.abelian,
-        "exponent": fp.exponent,
-        "order_histogram": [list(pair) for pair in fp.order_histogram],
-        "center_order": fp.center_order,
-        "derived_order": fp.derived_order,
-    }
-
-
 def check_expect(expected: str | None, actual: str):
     if expected is not None and expected != actual:
         raise ExpectMismatch(expected, actual)
@@ -73,7 +63,7 @@ def group_report(G: Group) -> dict:
     return {
         "order": G.order,
         "identified": ident.describe(),
-        "fingerprint": fingerprint_json(G.fingerprint()),
+        "fingerprint": dataclasses.asdict(G.fingerprint()),
     }
 
 
@@ -114,7 +104,7 @@ def cmd_identify(args) -> tuple[dict, list[str]]:
             "is_cayley": analysis.is_cayley,
             "order": analysis.presented_order,
             "identified": analysis.presented_name,
-            "fingerprint": fingerprint_json(analysis.presented_group.fingerprint()),
+            "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
         }
     else:
         result = tables.group_from_table(tables.parse_table(_read(args.table)))
@@ -155,7 +145,7 @@ def _graph_report(name: str | None, analysis: graphs.GraphReport) -> dict:
             if analysis.acting_identification
             else None
         ),
-        "fingerprint": fingerprint_json(analysis.presented_group.fingerprint()),
+        "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
     }
     if name is not None:
         report = {"fixture": name, **report}
@@ -302,14 +292,10 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
     presentation = parse_presentation(args.presentation)
     G = cosets.group_from_presentation(presentation, default_max_cosets())
     assignment = {i: el for i, (_, el) in enumerate(G.generators)}
-    elements = []
-    for text in args.normal.split(","):
-        word = parse_word(text.strip(), presentation.generators)
-        value = G.identity
-        for gen, sign in word:
-            el = assignment[gen]
-            value = G.table[value][el if sign > 0 else G.inverse[el]]
-        elements.append(value)
+    elements = [
+        evaluate_word(G, assignment, parse_word(text.strip(), presentation.generators))
+        for text in args.normal.split(",")
+    ]
     N = normal_closure(G, elements)
     Q = group_quotient(G, N)
     report = {

@@ -66,6 +66,10 @@ class ColoredDigraph:
             raise GraphError("graph needs at least one node")
         if self.labels is not None and len(self.labels) != self.node_count:
             raise GraphError("one label per node required")
+        first: dict[str, int] = {}
+        for node, label in enumerate(self.labels or ()):
+            if first.setdefault(label, node) != node:
+                raise GraphError(f"nodes {first[label]} and {node} share label {label!r}")
         for color in self.colors:
             seen = set()
             for u, v in color.edges:

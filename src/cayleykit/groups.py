@@ -8,13 +8,19 @@ through ``group_from_action``, the one constructor that turns generator
 columns into a table.  Its tables, direct products, quotients and subgroups
 are groups by construction and enter with ``trusted=True``, which skips the
 Latin-square and associativity scans.
+
+Structural invariants come from the greedy generating sequence
+(``_generating_sequence``) and the element orders, which each ``Group``
+computes once: commuting generators, the centre, the commutators' normal
+closure, and invariant factors read off the order histogram.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
+from math import lcm
 
 __all__ = [
     "GroupError",
@@ -47,7 +53,7 @@ class GroupError(ValueError):
 
 @dataclass(frozen=True)
 class Fingerprint:
-    """Cheap isomorphism invariants, ordered roughly by computation cost."""
+    """Isomorphism invariants, compared before any isomorphism search."""
 
     order: int
     abelian: bool
@@ -60,7 +66,9 @@ class Fingerprint:
 class Group:
     """Finite group given by an n x n multiplication table over 0..n-1."""
 
-    __slots__ = ("order", "table", "inverse", "element_names", "generators", "_fp")
+    __slots__ = (
+        "order", "table", "inverse", "element_names", "generators", "_orders", "_fp"
+    )
 
     def __init__(
         self,
@@ -89,7 +97,7 @@ class Group:
         for _, el in self.generators:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
-        self._fp = None
+        self._orders = self._fp = None
 
     @property
     def identity(self) -> int:
@@ -110,26 +118,22 @@ class Group:
             m += 1
         return m
 
-    def element_orders(self) -> list[int]:
-        return [self.order_of(g) for g in range(self.order)]
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of each element, computed on the first call only."""
+        if self._orders is None:
+            self._orders = tuple(self.order_of(g) for g in range(self.order))
+        return self._orders
 
-    def order_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for o in self.element_orders():
-            hist[o] = hist.get(o, 0) + 1
-        return hist
+    def order_histogram(self) -> Counter[int]:
+        return Counter(self.element_orders())
 
     def is_abelian(self) -> bool:
         t = self.table
-        return all(
-            t[a][b] == t[b][a] for a in range(self.order) for b in range(self.order)
-        )
+        gens = _generating_sequence(t, 0)
+        return all(t[a][b] == t[b][a] for a, b in combinations(gens, 2))
 
     def exponent(self) -> int:
-        exp = 1
-        for o in set(self.element_orders()):
-            exp = _lcm(exp, o)
-        return exp
+        return lcm(*self.element_orders())
 
     def name_of(self, g: int) -> str:
         return self.element_names[g] if self.element_names else str(g)
@@ -173,10 +177,6 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     return Group(tuple(zip(*right)), element_names, generators, trusted=True)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _check_axioms(rows):
     n = len(rows)
     if n == 0:
@@ -207,12 +207,10 @@ def _check_axioms(rows):
         raise GroupError(f"associativity fails at ({x},{y},{z})")
 
 
-def _light_test(rows, identity=None) -> bool:
-    """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
-    of a generating set.  It is exact for any magma, because the middle
-    elements that pass form a submagma.  Generators are picked greedily (least
-    element not yet reached); reached means a left-normed product of them, or
-    the two-sided identity when one is given, since it passes trivially."""
+def _generating_sequence(rows, identity=None) -> list[int]:
+    """Greedy generating sequence of a magma table: the least element not yet
+    reached, until every element is.  Reached means a left-normed product of
+    the sequence, or the two-sided identity when one is given."""
     n = len(rows)
     gens: list[int] = []
     seeds = [] if identity is None else [identity]
@@ -226,6 +224,14 @@ def _light_test(rows, identity=None) -> bool:
                 if y not in span:
                     span.add(y)
                     queue.append(y)
+    return gens
+
+
+def _light_test(rows, identity=None) -> bool:
+    """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
+    of a generating set.  It is exact for any magma, because the middle
+    elements that pass form a submagma; the identity passes trivially."""
+    gens = _generating_sequence(rows, identity)
     return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
 
 
@@ -290,21 +296,19 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
 
 
 def center(G: Group) -> Subgroup:
+    """The elements that commute with each generator."""
     t = G.table
-    members = [
-        z
-        for z in range(G.order)
-        if all(t[z][g] == t[g][z] for g in range(G.order))
-    ]
+    gens = _generating_sequence(t, 0)
+    members = [z for z in range(G.order) if all(t[z][g] == t[g][z] for g in gens)]
     return Subgroup(G, tuple(members))
 
 
 def derived_subgroup(G: Group) -> Subgroup:
+    """The normal closure of the commutators of the generators."""
     t, inv = G.table, G.inverse
-    comms = {
-        t[t[inv[a]][inv[b]]][t[a][b]] for a in range(G.order) for b in range(G.order)
-    }
-    return subgroup_closure(G, comms | {0})
+    gens = _generating_sequence(t, 0)
+    comms = [t[t[inv[a]][inv[b]]][t[a][b]] for a, b in combinations(gens, 2)]
+    return normal_closure(G, comms)
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
@@ -396,16 +400,6 @@ def has_semidirect_decomposition(G: Group):
     return None
 
 
-def _generating_sequence(G: Group) -> list[int]:
-    gens: list[int] = []
-    span = {0}
-    while len(span) < G.order:
-        g = min(set(range(G.order)) - span)
-        gens.append(g)
-        span = set(subgroup_closure(G, gens).members)
-    return gens
-
-
 def is_isomorphic(G: Group, H: Group):
     """An isomorphism as a tuple (image of each G element), or None.
 
@@ -418,7 +412,7 @@ def is_isomorphic(G: Group, H: Group):
     n = G.order
     orders_g = G.element_orders()
     orders_h = H.element_orders()
-    gens = _generating_sequence(G) if n > 1 else []
+    gens = _generating_sequence(G.table, 0)
 
     def saturate(phi: dict[int, int]):
         queue = list(phi)
@@ -469,17 +463,32 @@ def is_isomorphic(G: Group, H: Group):
 
 
 def abelian_invariants(G: Group) -> list[int]:
-    """Invariant factors d_k | ... | d_1 listed in decreasing order."""
+    """Invariant factors d_k | ... | d_1 listed in decreasing order.
+
+    For a prime p, the x with x^(p^k) = 1 number p^(r_1 + ... + r_k), where
+    r_j counts the cyclic p-factors of order at least p^j (Rotman, ch. 6), so
+    the order histogram gives each d_i's power of p."""
     if not G.is_abelian():
         raise GroupError("group is not abelian")
+    hist = G.order_histogram()
     factors: list[int] = []
-    H = G
-    while H.order > 1:
-        orders = H.element_orders()
-        m = max(orders)
-        g = orders.index(m)
-        factors.append(m)
-        H = quotient(H, subgroup_closure(H, (g,)))
+    n, p = G.order, 1
+    while n > 1:
+        p += 1
+        if n % p:
+            continue
+        while n % p == 0:
+            n //= p
+        q, solved = p, 1  # solved = #{x : x^(q/p) = 1}
+        while hist[q]:
+            r = 0  # the cyclic p-factors of order at least q
+            while solved * p**r < solved + hist[q]:
+                r += 1
+            factors += [1] * (r - len(factors))
+            for i in range(r):
+                factors[i] *= p
+            solved += hist[q]
+            q *= p
     return factors
 
 

@@ -196,6 +196,21 @@ def test_malformed_graph_json_exit_code(document, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# r is a 4-cycle; with f matching {0,1},{2,3} the graph is not a Cayley graph
+FOUR_CYCLE = {"name": "r", "directed": True, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]]}
+MATCHING = {"name": "f", "directed": False, "edges": [[0, 1], [2, 3]]}
+
+
+@pytest.mark.parametrize("colors", [[FOUR_CYCLE, MATCHING], [FOUR_CYCLE]])
+def test_duplicate_labels_are_named(colors, tmp_path, capsys):
+    document = {"nodes": 4, "labels": ["a", "a", "b", "c"], "colors": colors}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(document))
+    code, err = run_cli_err(["check-graph", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1 and "'a'" in err
+
+
 @pytest.mark.parametrize(
     "directed, message",
     [

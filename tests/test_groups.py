@@ -3,14 +3,25 @@ import pathlib
 import random
 import subprocess
 import sys
+from collections import Counter
+from math import lcm
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit import families, graphs
+from cayleykit.cosets import (
+    CapExceeded,
+    group_from_coset_table,
+    group_from_presentation,
+    todd_coxeter,
+)
 from cayleykit.groups import (
+    Fingerprint,
     Group,
     GroupError,
     Subgroup,
+    _generating_sequence,
     abelian_invariants,
     abelian_name,
     center,
@@ -26,6 +37,8 @@ from cayleykit.groups import (
     quotient,
     subgroup_closure,
 )
+from cayleykit.tables import parse_table
+from cayleykit.words import Presentation, free_reduce, parse_presentation
 
 
 def klein():
@@ -377,3 +390,145 @@ def test_direct_product_structure():
     H = direct_product(families.dihedral(3), families.cyclic(4))
     assert H.order == 24
     assert identify(H).name == "D_3xC_4"
+
+
+# --- the library's invariants against their pairwise definitions -------------
+#
+# The library reads every invariant off a greedy generating sequence and the
+# cached element orders.  These reference versions scan all elements or all
+# pairs, and pick generators by subgroup closure, as the textbook definitions
+# do; on every group they must give the same answers.
+
+
+def oracle_generating_sequence(G):
+    gens: list[int] = []
+    span = {0}
+    while len(span) < G.order:
+        gens.append(min(set(range(G.order)) - span))
+        span = set(subgroup_closure(G, gens).members)
+    return gens
+
+
+def oracle_is_abelian(G):
+    t = G.table
+    return all(t[a][b] == t[b][a] for a in range(G.order) for b in range(G.order))
+
+
+def oracle_center(G):
+    t = G.table
+    n = G.order
+    return tuple(z for z in range(n) if all(t[z][g] == t[g][z] for g in range(n)))
+
+
+def oracle_derived_subgroup(G):
+    t, inv, n = G.table, G.inverse, G.order
+    comms = {t[t[inv[a]][inv[b]]][t[a][b]] for a in range(n) for b in range(n)}
+    return subgroup_closure(G, comms | {0}).members
+
+
+def oracle_abelian_invariants(G):
+    # quotient by a cyclic subgroup of largest order, again and again
+    factors = []
+    H = G
+    while H.order > 1:
+        orders = [H.order_of(g) for g in range(H.order)]
+        m = max(orders)
+        factors.append(m)
+        H = quotient(H, subgroup_closure(H, (orders.index(m),)))
+    return factors
+
+
+def assert_invariants_match_oracle(G):
+    orders = [G.order_of(g) for g in range(G.order)]
+    abelian = oracle_is_abelian(G)
+    assert G.is_abelian() == abelian
+    assert center(G).members == oracle_center(G)
+    assert derived_subgroup(G).members == oracle_derived_subgroup(G)
+    assert G.fingerprint() == Fingerprint(
+        order=G.order,
+        abelian=abelian,
+        exponent=lcm(*orders),
+        order_histogram=tuple(sorted(Counter(orders).items())),
+        center_order=len(oracle_center(G)),
+        derived_order=len(oracle_derived_subgroup(G)),
+    )
+    if abelian:
+        assert abelian_invariants(G) == oracle_abelian_invariants(G)
+    # is_isomorphic backtracks over this sequence and nothing else that
+    # changed, so equal sequences mean equal mappings
+    gens = _generating_sequence(G.table, 0)
+    assert gens == oracle_generating_sequence(G)
+    assert G.element_orders() is G.element_orders()
+    assert list(G.element_orders()) == orders
+
+
+CATALOG = [G for _, G in families.catalog_groups(64)]
+
+
+# S_4, A_4 (twice) and A_5: the commutators of their two generators generate
+# a proper subgroup of the derived subgroup, which only conjugates complete
+COMMUTATORS_NEED_CONJUGATES = [
+    "<a,b | a^4, b^2, (a b)^3>",
+    "<a,b | a^3, b^2, (a b)^3>",
+    "<a,b | a^3, b^3, (a b)^2>",
+    "<a,b | a^5, b^2, (a b)^3>",
+]
+
+
+def test_catalog_invariants_match_pairwise_definitions():
+    presented = [
+        group_from_presentation(parse_presentation(text))
+        for text in COMMUTATORS_NEED_CONJUGATES
+    ]
+    for G in CATALOG + presented:
+        assert_invariants_match_oracle(G)
+
+
+LETTERS = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
+WORDS = st.lists(st.lists(LETTERS, min_size=1, max_size=6), min_size=1, max_size=3)
+
+
+@st.composite
+def presented_groups(draw):
+    powers = [[(0, 1)] * draw(st.integers(2, 6)), [(1, 1)] * draw(st.integers(2, 6))]
+    words = powers + draw(WORDS)
+    relators = tuple(r for r in (free_reduce(tuple(w)) for w in words) if r)
+    try:
+        table = todd_coxeter(Presentation(("a", "b"), relators), max_cosets=200)
+    except CapExceeded:
+        assume(False)
+    return group_from_coset_table(table)
+
+
+@st.composite
+def subgroups_and_quotients(draw):
+    # no recorded generators (as_group), or only the images of G's (quotient)
+    G = draw(st.sampled_from(CATALOG))
+    seed = draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        return subgroup_closure(G, seed).as_group()
+    return quotient(G, normal_closure(G, seed))
+
+
+@st.composite
+def shuffled_tables(draw):
+    # the same group read back from text whose rows and columns are permuted,
+    # the identity kept first so that the parsed cells are a Group table
+    G = draw(st.sampled_from(CATALOG))
+    order = [0, *draw(st.permutations(range(1, G.order)))]
+    lines = [" ".join(f"g{b}" for b in order)]
+    lines += [" ".join(f"g{G.table[a][b]}" for b in order) for a in order]
+    return Group(parse_table("\n".join(lines)).cells)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(CATALOG),
+        presented_groups(),
+        subgroups_and_quotients(),
+        shuffled_tables(),
+    )
+)
+def test_invariants_match_pairwise_definitions(G):
+    assert_invariants_match_oracle(G)
