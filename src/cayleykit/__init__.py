@@ -6,7 +6,6 @@ Cayley graphs/tables and the groups they define are named.
 """
 
 from .cosets import (
-    CapExceeded,
     CosetTable,
     group_from_coset_table,
     group_from_presentation,
@@ -26,6 +25,7 @@ from .graphs import (
     load_graph_json,
 )
 from .groups import (
+    CapExceeded,
     Fingerprint,
     Group,
     GroupError,

@@ -5,8 +5,8 @@ fixture.  Every command prints a human-readable report by default and a
 schema-versioned JSON document with --json; identify-style commands accept
 --expect NAME to assert the result for CI use.
 
-Exit codes: 0 success, 2 parse/usage error, 3 enumeration or closure cap
-exceeded, 4 --expect mismatch.
+Exit codes: 0 success, 2 parse/usage error, 3 enumeration, closure or table
+cap exceeded, 4 --expect mismatch.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ import time
 from importlib import resources
 
 from . import cosets, families, graphs, tables
-from .cosets import CapExceeded
-from .groups import Group, identify, normal_closure, quotient as group_quotient
+from .groups import CapExceeded, Group, identify, normal_closure, quotient as group_quotient
 from .words import (
     ParseError,
     evaluate_word,

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, GroupError, group_from_action
-from .words import Presentation, Word, format_word, label_word
+from .groups import CapExceeded, Group, GroupError, group_from_action
+from .words import Presentation, Word, format_word
 
 __all__ = [
     "CapExceeded",
@@ -34,14 +34,6 @@ __all__ = [
 ]
 
 DEFAULT_MAX_COSETS = 65536
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration hit the coset cap.  Says nothing about infiniteness."""
-
-    def __init__(self, message: str, cosets_defined: int):
-        super().__init__(message)
-        self.cosets_defined = cosets_defined
 
 
 @dataclass(frozen=True)
@@ -269,34 +261,41 @@ def group_from_coset_table(table: CosetTable) -> Group:
 
     Elements are relabeled by BFS from coset 0 over the generator columns in
     declared order, so element order, names, and tables are reproducible.
+    Each element is named by its BFS word as ``words.label_word`` renders
+    it, grown from its parent's name: the word's last run of one generator
+    either gains a letter or starts after the parent's whole name.
     """
     n = table.num_cosets
-    ngens = table.presentation.rank
+    names = table.presentation.generators
     order_of = [-1] * n  # old coset -> new element index
     bfs: list[int] = [0]
     order_of[0] = 0
-    words: list[Word] = [()]
+    labels = ["1"]
+    stems = [""]  # label up to the last run, with its "*"
+    runs = [(-1, 0)]  # last run of the BFS word: (generator, exponent)
     head = 0
     while head < len(bfs):
         old = bfs[head]
-        for g in range(ngens):
-            nxt = table.forward[g][old]
+        for g, col in enumerate(table.forward):
+            nxt = col[old]
             if order_of[nxt] < 0:
                 order_of[nxt] = len(bfs)
                 bfs.append(nxt)
-                words.append(words[head] + ((g, 1),))
+                last, exp = runs[head]
+                if last == g:
+                    stem, exp = stems[head], exp + 1
+                else:
+                    stem, exp = (labels[head] + "*" if head else ""), 1
+                stems.append(stem)
+                runs.append((g, exp))
+                labels.append(stem + names[g] if exp == 1 else f"{stem}{names[g]}^{exp}")
         head += 1
     if len(bfs) != n:
         raise GroupError(f"coset table is not transitive: {len(bfs)} of {n} reached")
 
-    succ = [
-        [order_of[table.forward[g][old]] for old in bfs] for g in range(ngens)
-    ]
-    names = tuple(label_word(w, table.presentation.generators) for w in words)
-    generators = tuple(
-        (name, succ[g][0]) for g, name in enumerate(table.presentation.generators)
-    )
-    return group_from_action(succ, element_names=names, generators=generators)
+    succ = [[order_of[col[old]] for old in bfs] for col in table.forward]
+    generators = tuple((name, succ[g][0]) for g, name in enumerate(names))
+    return group_from_action(succ, element_names=labels, generators=generators)
 
 
 def group_from_presentation(

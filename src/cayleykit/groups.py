@@ -7,7 +7,9 @@ square with identity 0 and pass Light's associativity test.  A regular action
 through ``group_from_action``, the one constructor that turns generator
 columns into a table.  Its tables, direct products, quotients and subgroups
 are groups by construction and enter with ``trusted=True``, which skips the
-Latin-square and associativity scans.
+Latin-square and associativity scans.  A dense table holds at most
+``MAX_TABLE_CELLS`` cells; a larger one is refused with ``CapExceeded``
+before any row is built.
 
 Structural invariants come from the greedy generating sequence
 (``_generating_sequence``) and the element orders, which each ``Group``
@@ -20,12 +22,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
+from operator import itemgetter
 
 __all__ = [
+    "CapExceeded",
     "GroupError",
     "Group",
     "group_from_action",
+    "check_table_cells",
+    "MAX_TABLE_CELLS",
     "Subgroup",
     "Fingerprint",
     "Identification",
@@ -45,10 +51,21 @@ __all__ = [
 ]
 
 SUBGROUP_ENUM_LIMIT = 64
+MAX_TABLE_CELLS = 2**24  # a dense table of order 4096
 
 
 class GroupError(ValueError):
     pass
+
+
+class CapExceeded(RuntimeError):
+    """A size cap was hit before the work was done: coset enumeration, matrix
+    closure or the dense table.  Says nothing about infiniteness.
+    ``cosets_defined`` is the count (cosets, elements, order) it stopped at."""
+
+    def __init__(self, message: str, cosets_defined: int):
+        super().__init__(message)
+        self.cosets_defined = cosets_defined
 
 
 @dataclass(frozen=True)
@@ -119,9 +136,22 @@ class Group:
         return m
 
     def element_orders(self) -> tuple[int, ...]:
-        """The order of each element, computed on the first call only."""
+        """The order of each element, computed on the first call only.
+
+        One walk of <g> from each element g not yet seen gives the whole
+        cyclic subgroup: g^k has order ord(g) / gcd(k, ord(g))."""
         if self._orders is None:
-            self._orders = tuple(self.order_of(g) for g in range(self.order))
+            orders = [0] * self.order
+            for g, row in enumerate(self.table):
+                if orders[g]:
+                    continue
+                powers = [g]
+                while powers[-1]:
+                    powers.append(row[powers[-1]])
+                m = len(powers)
+                for k, x in enumerate(powers, 1):
+                    orders[x] = m // gcd(k, m)
+            self._orders = tuple(orders)
         return self._orders
 
     def order_histogram(self) -> Counter[int]:
@@ -155,26 +185,48 @@ class Group:
         return f"Group(order={self.order})"
 
 
+def check_table_cells(order: int):
+    """Raise CapExceeded if an order-``order`` table exceeds MAX_TABLE_CELLS."""
+    if order * order > MAX_TABLE_CELLS:
+        raise CapExceeded(
+            f"table cap {MAX_TABLE_CELLS} cells exceeded (order {order})", order
+        )
+
+
 def group_from_action(columns, element_names=None, generators=()) -> Group:
     """The group acting regularly on points 0..n-1, with point 0 as identity.
 
-    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives each
-    point y its right-multiplication map, a child y*g taking its parent's map
-    followed by g's column.  Raises GroupError unless every point is reached.
+    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives the
+    tree x = parent(x) * s(x).  Along it, generator s's left multiplication
+    follows from L_s(y * g) = L_s(y) * g, and each row from its parent's:
+    row(y * s)[x] = row(y)[L_s(x)].  Raises GroupError unless every point is
+    reached, CapExceeded if the table would exceed MAX_TABLE_CELLS.
     """
     n = len(columns[0])
-    right: list[list[int] | None] = [None] * n
-    right[0] = list(range(n))
+    check_table_cells(n)
+    seen = [True] + [False] * (n - 1)
     reached = [0]
+    tree = []  # (x, parent, k) with x = parent * generator k, in BFS order
     for y in reached:  # a BFS queue, appended to while walked
-        for col in columns:
+        for k, col in enumerate(columns):
             z = col[y]
-            if right[z] is None:
-                right[z] = [col[v] for v in right[y]]
+            if not seen[z]:
+                seen[z] = True
                 reached.append(z)
+                tree.append((z, y, k))
     if len(reached) != n:
         raise GroupError(f"action is not transitive: {len(reached)} of {n} reached")
-    return Group(tuple(zip(*right)), element_names, generators, trusted=True)
+    getters = []
+    for col in columns:
+        left = [col[0]] * n  # left[x] = (0 * s) * x
+        for x, y, k in tree:
+            left[x] = columns[k][left[y]]
+        getters.append(itemgetter(*left))
+    rows: list[tuple[int, ...]] = [()] * n
+    rows[0] = tuple(range(n))
+    for x, y, k in tree:
+        rows[x] = getters[k](rows[y])
+    return Group(rows, element_names, generators, trusted=True)
 
 
 def _check_axioms(rows):

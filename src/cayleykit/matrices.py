@@ -15,8 +15,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .cosets import CapExceeded
-from .groups import Group, group_from_action
+from .groups import CapExceeded, Group, check_table_cells, group_from_action
 
 __all__ = [
     "LevelMismatch",
@@ -335,6 +334,7 @@ def diquaternion_group(quaternion_order: int) -> Group:
     m = quaternion_order
     if m < 8 or m & (m - 1):
         raise ValueError("quaternion order must be a power of two, at least 8")
+    check_table_cells(2 * m)  # before rot_matrix builds 2^(level-1) coefficients
     level = m.bit_length() - 2  # zeta of order m/2 drives the rotation
     rot_name = "i" if level == 2 else "z"
     return matrix_group_closure(

@@ -10,6 +10,9 @@ Regenerate the golden outputs with:  GOLDEN_UPDATE=1 pytest tests/test_cli.py
 import json
 import os
 import pathlib
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -17,6 +20,7 @@ from cayleykit.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 CASES = {
     "enumerate.txt": ["enumerate", "<r,s | r^5=s^2=1, r^3s=sr, srs=r^2>"],
@@ -256,3 +260,40 @@ def test_huge_power_fails_before_expanding(argv, position, capsys):
     code, err = run_cli_err(argv, capsys)
     message = "error: words expand to more than 1000000 letters"
     assert (code, err) == (2, f"{message} (at position {position})\n")
+
+
+ADDRESS_SPACE = 600 * 2**20
+
+
+def run_cli_limited(argv):
+    """The CLI in a child process whose address space is capped, so that a
+    table built before its cap ends in a MemoryError there, not here."""
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    script = "import sys; from cayleykit.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["make", "dq", "4096"], 8192),
+        (["make", "dq", "1099511627776"], 2**41),
+        (["enumerate", "<r | r^5000>"], 5000),
+    ],
+)
+def test_table_cap_exits_before_allocating(argv, order):
+    # unbounded, the first and last build a dense table of 25-67 million
+    # cells, the second a rotation matrix entry of 2^38 coefficients
+    out = run_cli_limited(argv)
+    message = f"cap exceeded: table cap 16777216 cells exceeded (order {order})\n"
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
+
+
+def test_largest_table_under_the_cap_builds():
+    out = run_cli_limited(["make", "dq", "2048"])
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "order: 4096\n" in out.stdout

@@ -4,7 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,11 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from cayleykit import families, graphs
 from cayleykit.cosets import (
     CapExceeded,
+    CosetTable,
     group_from_coset_table,
     group_from_presentation,
     todd_coxeter,
 )
 from cayleykit.groups import (
+    MAX_TABLE_CELLS,
     Fingerprint,
     Group,
     GroupError,
@@ -38,7 +40,7 @@ from cayleykit.groups import (
     subgroup_closure,
 )
 from cayleykit.tables import parse_table
-from cayleykit.words import Presentation, free_reduce, parse_presentation
+from cayleykit.words import Presentation, free_reduce, label_word, parse_presentation
 
 
 def klein():
@@ -489,15 +491,19 @@ WORDS = st.lists(st.lists(LETTERS, min_size=1, max_size=6), min_size=1, max_size
 
 
 @st.composite
-def presented_groups(draw):
+def coset_tables(draw):
     powers = [[(0, 1)] * draw(st.integers(2, 6)), [(1, 1)] * draw(st.integers(2, 6))]
     words = powers + draw(WORDS)
     relators = tuple(r for r in (free_reduce(tuple(w)) for w in words) if r)
     try:
-        table = todd_coxeter(Presentation(("a", "b"), relators), max_cosets=200)
+        return todd_coxeter(Presentation(("a", "b"), relators), max_cosets=200)
     except CapExceeded:
         assume(False)
-    return group_from_coset_table(table)
+
+
+@st.composite
+def presented_groups(draw):
+    return group_from_coset_table(draw(coset_tables()))
 
 
 @st.composite
@@ -532,3 +538,88 @@ def shuffled_tables(draw):
 )
 def test_invariants_match_pairwise_definitions(G):
     assert_invariants_match_oracle(G)
+
+
+# --- building a group from an action, against the direct definitions ----------
+#
+# group_from_action composes each row from its BFS parent's row and a
+# generator's left multiplication, group_from_coset_table grows each label
+# from its parent's, and element_orders walks each cyclic subgroup once.
+# These reference versions compose right-multiplication maps and transpose
+# them, render each element's whole BFS word, and walk every element's powers.
+
+
+def oracle_table(columns):
+    n = len(columns[0])
+    right = [None] * n
+    right[0] = list(range(n))
+    reached = [0]
+    for y in reached:
+        for col in columns:
+            z = col[y]
+            if right[z] is None:
+                right[z] = [col[v] for v in right[y]]
+                reached.append(z)
+    return tuple(zip(*right))
+
+
+def oracle_group_from_coset_table(table):
+    """(table, labels, generators) relabelled by BFS words, as the library's."""
+    words = {0: ()}
+    bfs = [0]
+    for old in bfs:
+        for g, col in enumerate(table.forward):
+            if col[old] not in words:
+                words[col[old]] = words[old] + ((g, 1),)
+                bfs.append(col[old])
+    new = {old: k for k, old in enumerate(bfs)}
+    succ = [[new[col[old]] for old in bfs] for col in table.forward]
+    names = table.presentation.generators
+    labels = tuple(label_word(words[old], names) for old in bfs)
+    return oracle_table(succ), labels, tuple(zip(names, (col[0] for col in succ)))
+
+
+def right_action(G):
+    """The coset table of G over the trivial subgroup, one column per
+    recorded generator; no relators, which the conversion never reads."""
+    forward = tuple(tuple(G.table[x][g] for x in range(G.order)) for _, g in G.generators)
+    backward = tuple(
+        tuple(G.table[x][G.inverse[g]] for x in range(G.order)) for _, g in G.generators
+    )
+    names = tuple(name for name, _ in G.generators)
+    return CosetTable(Presentation(names, ()), forward, backward, G.order)
+
+
+def assert_builders_match_oracle(table):
+    G = group_from_coset_table(table)
+    expected, labels, generators = oracle_group_from_coset_table(table)
+    assert G.table == expected
+    assert G.element_names == labels
+    assert G.generators == generators
+    assert G.inverse == tuple(row.index(0) for row in expected)
+    columns = [[G.table[x][g] for x in range(G.order)] for _, g in G.generators]
+    assert group_from_action(columns).table == oracle_table(columns) == G.table
+    assert list(G.element_orders()) == [G.order_of(g) for g in range(G.order)]
+
+
+def test_builders_match_definitions_on_catalog_and_large_groups():
+    large = [families.cyclic(600), families.dihedral(420)]
+    for G in CATALOG + large:
+        assert_builders_match_oracle(right_action(G))
+    for text in ["<r | r^600>", "<r,f | r^420, f^2, (r f)^2>"]:
+        assert_builders_match_oracle(todd_coxeter(parse_presentation(text)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coset_tables())
+def test_builders_match_definitions_on_presented_groups(table):
+    assert_builders_match_oracle(table)
+
+
+def test_table_cap_admits_order_4096_only():
+    cycle = lambda n: [[(x + 1) % n for x in range(n)]]
+    largest = isqrt(MAX_TABLE_CELLS)
+    assert group_from_action(cycle(largest)).order == largest
+    with pytest.raises(CapExceeded) as err:
+        group_from_action(cycle(largest + 1))
+    assert str(err.value) == f"table cap {MAX_TABLE_CELLS} cells exceeded (order {largest + 1})"
