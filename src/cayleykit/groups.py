@@ -93,16 +93,20 @@ class Group:
         element_names=None,
         generators=(),
         trusted: bool = False,
+        inverse=None,
     ):
         """``trusted=True`` is only for tables that are groups by construction;
-        any other table is checked against the group axioms here."""
+        any other table is checked against the group axioms here.  A trusted
+        constructor may pass ``inverse``; otherwise each row is scanned for 0."""
         rows = tuple(tuple(row) for row in table)
         if not trusted:
             _check_axioms(rows)
         n = len(rows)
         self.order = n
         self.table = rows
-        self.inverse = tuple(row.index(0) for row in rows)
+        if inverse is None:
+            inverse = (row.index(0) for row in rows)
+        self.inverse = tuple(inverse)
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
             if len(names) != n or len(set(names)) != n:
@@ -198,8 +202,9 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
 
     ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives the
     tree x = parent(x) * s(x).  Along it, generator s's left multiplication
-    follows from L_s(y * g) = L_s(y) * g, and each row from its parent's:
-    row(y * s)[x] = row(y)[L_s(x)].  Raises GroupError unless every point is
+    follows from L_s(y * g) = L_s(y) * g, each row from its parent's:
+    row(y * s)[x] = row(y)[L_s(x)], and each inverse from its parent's:
+    (y * s)^-1 = s^-1 * y^-1.  Raises GroupError unless every point is
     reached, CapExceeded if the table would exceed MAX_TABLE_CELLS.
     """
     n = len(columns[0])
@@ -226,7 +231,11 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     rows[0] = tuple(range(n))
     for x, y, k in tree:
         rows[x] = getters[k](rows[y])
-    return Group(rows, element_names, generators, trusted=True)
+    gen_inverse = [rows[col[0]].index(0) for col in columns]
+    inverse = [0] * n
+    for x, y, k in tree:
+        inverse[x] = rows[gen_inverse[k]][inverse[y]]
+    return Group(rows, element_names, generators, trusted=True, inverse=inverse)
 
 
 def _check_axioms(rows):
@@ -582,15 +591,10 @@ def identify(G: Group) -> Identification:
 
 def direct_product(G: Group, H: Group) -> Group:
     nb = H.order
-    table = [
-        [
-            G.table[a1][a2] * nb + H.table[b1][b2]
-            for a2 in range(G.order)
-            for b2 in range(nb)
-        ]
-        for a1 in range(G.order)
-        for b1 in range(nb)
-    ]
+    table = []
+    for row_g in G.table:
+        scaled = [x * nb for x in row_g]
+        table += ([s + y for s in scaled for y in row_h] for row_h in H.table)
     names = None
     if G.element_names or H.element_names:
         names = tuple(

@@ -1,5 +1,5 @@
-"""Exact arithmetic in Z[zeta] for zeta a 2^k-th root of unity, and matrix
-group closure over it.
+"""Exact arithmetic in Z[zeta] for zeta a 2^k-th root of unity, and the
+closure of monomial matrix groups over it.
 
 CycInt at level k is a polynomial in zeta = e^{2*pi*i/2^k}, stored as the
 coefficient vector of length 2^(k-1) and reduced by zeta^(2^(k-1)) = -1.
@@ -7,7 +7,13 @@ That reduction makes the representation unique, so equality and hashing are
 coefficient-wise (after demoting to the least level that carries the value).
 Operations require equal levels; ``promote`` embeds into a higher level by
 coefficient spreading.  Python integers never overflow, so coefficients stay
-exact at any size.
+exact at any size.  CycInt and CycMatrix build and check generators.
+
+``matrix_group_closure`` takes monomial generators (one entry +-zeta^m in
+each row and column, as every generator built here is) and closes them in
+monomial form: a permutation plus zeta exponents mod 2^level, multiplied by
+lookups with no CycInt arithmetic.  Each element's label is rendered from
+that form as the exact text ``str(CycMatrix)`` gives.
 """
 
 from __future__ import annotations
@@ -15,7 +21,13 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
-from .groups import CapExceeded, Group, check_table_cells, group_from_action
+from .groups import (
+    MAX_TABLE_CELLS,
+    CapExceeded,
+    Group,
+    check_table_cells,
+    group_from_action,
+)
 
 __all__ = [
     "LevelMismatch",
@@ -28,10 +40,8 @@ __all__ = [
     "matrix_group_closure",
     "diquaternion_group",
     "pauli_group",
-    "PAULI_QUBIT_CAP",
 ]
 
-PAULI_QUBIT_CAP = 3
 DEFAULT_CLOSURE_CAP = 4096
 
 
@@ -278,15 +288,51 @@ def f_matrix(level: int = 1) -> CycMatrix:
     return CycMatrix(level, [[0, 1], [1, 0]])
 
 
+def _monomial_codes(g: CycMatrix, name: str) -> tuple[int, ...]:
+    """Each row of ``g`` as the code c * 2^level + e of its one non-zero
+    entry zeta^e in column c; -zeta^m is zeta^(m + 2^(level-1)).
+
+    Raises ValueError unless every row and every column holds one non-zero
+    entry and that entry is +-zeta^m."""
+    span = 1 << (g.level - 1)
+    codes = []
+    for row in g.rows:
+        cells = [(col, e) for col, e in enumerate(row) if not e.is_zero()]
+        terms = [(m, c) for m, c in enumerate(cells[0][1].coeffs) if c] if len(cells) == 1 else []
+        if len(terms) != 1 or terms[0][1] not in (1, -1):
+            raise ValueError(f"generator {name} is not monomial: each row needs one entry +-z^m")
+        m, c = terms[0]
+        codes.append(cells[0][0] * 2 * span + (m if c == 1 else m + span))
+    if sorted(code >> g.level for code in codes) != list(range(g.dim)):
+        raise ValueError(f"generator {name} is not monomial: each column needs one entry")
+    return tuple(codes)
+
+
+def _render(code: int, level: int, dim: int) -> str:
+    """One row of a monomial matrix exactly as ``str(CycMatrix)`` writes it."""
+    col, e = code >> level, code & ((1 << level) - 1)
+    span = 1 << (level - 1)
+    m = e % span
+    cells = ["0"] * dim
+    cells[col] = ("-" if e >= span else "") + ("1" if m == 0 else "z" if m == 1 else f"z^{m}")
+    return "[" + ",".join(cells) + "]"
+
+
 def matrix_group_closure(
     gens,
     names=None,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Group:
-    """BFS closure of matrix generators; the result's element 0 is the
-    identity matrix and elements are labeled by their rendered matrices.
+    """BFS closure of monomial matrix generators; the result's element 0 is
+    the identity matrix and elements are labeled by their rendered matrices.
 
     Generators at mixed levels are promoted to the common maximum first.
+    Each generator must be monomial (one entry +-zeta^m in each row and
+    column; ValueError otherwise), so a matrix is a permutation plus zeta
+    exponents mod 2^level, and the BFS runs on that form: a row of m holding
+    zeta^e in column c is, in m * g, g's row c with its exponent raised by e.
+    A label is rendered from the same form as exactly the text
+    ``str(CycMatrix)`` gives.
     """
     gens = list(gens)
     if not gens:
@@ -302,13 +348,22 @@ def matrix_group_closure(
     if any(g.dim != dim for g in gens):
         raise ValueError("generators must share one dimension")
 
-    ident = CycMatrix.identity(dim, level)
+    mod = 1 << level
+    steps = []  # steps[k][c * mod + e] = g's row c raised by e, for g = gens[k]
+    for g, name in zip(gens, names):
+        step: list[int] = []
+        for code in _monomial_codes(g, name):
+            base, shift = code - code % mod, code % mod
+            step += [base + (e + shift) % mod for e in range(mod)]
+        steps.append(step)
+
+    ident = tuple(i << level for i in range(dim))
     elements = [ident]
     index = {ident: 0}
-    columns: list[list[int]] = [[] for _ in gens]  # columns[gi][x] = x * gens[gi]
+    columns: list[list[int]] = [[] for _ in gens]  # columns[k][x] = x * gens[k]
     for m in elements:  # a BFS queue, appended to while walked
-        for g, col in zip(gens, columns):
-            prod = m * g
+        for step, col in zip(steps, columns):
+            prod = tuple(map(step.__getitem__, m))
             at = index.get(prod)
             if at is None:
                 at = len(elements)
@@ -320,7 +375,8 @@ def matrix_group_closure(
                 elements.append(prod)
             col.append(at)
 
-    labels = tuple(str(m) for m in elements)
+    rows = {code: _render(code, level, dim) for code in set().union(*elements)}
+    labels = tuple("[" + ",".join(map(rows.__getitem__, m)) + "]" for m in elements)
     gen_entries = tuple((name, col[0]) for name, col in zip(names, columns))
     return group_from_action(columns, element_names=labels, generators=gen_entries)
 
@@ -345,9 +401,16 @@ def diquaternion_group(quaternion_order: int) -> Group:
 
 
 def pauli_group(qubits: int) -> Group:
-    """Closure of the per-qubit rotation/j/f generators; order 4^(qubits+1)."""
-    if not 1 <= qubits <= PAULI_QUBIT_CAP:
-        raise ValueError(f"qubits must be between 1 and {PAULI_QUBIT_CAP}")
+    """Closure of the per-qubit rotation/j/f generators; order 4^(qubits+1).
+
+    Raises CapExceeded, before any matrix is built, when that order's table
+    would exceed MAX_TABLE_CELLS (from 6 qubits on)."""
+    if qubits < 1:
+        raise ValueError("qubits must be at least 1")
+    if 4 * (qubits + 1) >= MAX_TABLE_CELLS.bit_length():  # 4^(q+1) squared > cap
+        raise CapExceeded(
+            f"table cap {MAX_TABLE_CELLS} cells exceeded (order 4^{qubits + 1})", 0
+        )
     base = [("i", rot_matrix(2)), ("j", j_matrix(2)), ("f", f_matrix(2))]
     eye = CycMatrix.identity(2, 2)
     gens = []

@@ -283,11 +283,14 @@ def run_cli_limited(argv):
         (["make", "dq", "4096"], 8192),
         (["make", "dq", "1099511627776"], 2**41),
         (["enumerate", "<r | r^5000>"], 5000),
+        (["make", "pauli", "6"], "4^7"),
+        (["make", "pauli", "1000000000000"], "4^1000000000001"),
     ],
 )
 def test_table_cap_exits_before_allocating(argv, order):
     # unbounded, the first and last build a dense table of 25-67 million
-    # cells, the second a rotation matrix entry of 2^38 coefficients
+    # cells, the second a rotation matrix entry of 2^38 coefficients, and the
+    # Pauli groups a table of 2^28 cells or Kronecker products of 2^10^12 rows
     out = run_cli_limited(argv)
     message = f"cap exceeded: table cap 16777216 cells exceeded (order {order})\n"
     assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
@@ -295,5 +298,11 @@ def test_table_cap_exits_before_allocating(argv, order):
 
 def test_largest_table_under_the_cap_builds():
     out = run_cli_limited(["make", "dq", "2048"])
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "order: 4096\n" in out.stdout
+
+
+def test_largest_pauli_group_under_the_cap_builds():
+    out = run_cli_limited(["make", "pauli", "5"])
     assert (out.returncode, out.stderr) == (0, "")
     assert "order: 4096\n" in out.stdout

@@ -115,6 +115,7 @@ def test_group_from_action_rebuilds_each_catalog_table():
         rebuilt = group_from_action(columns, G.element_names, G.generators)
         assert rebuilt.table == G.table, name
         assert rebuilt.generators == G.generators, name
+        assert rebuilt.inverse == G.inverse == tuple(r.index(0) for r in G.table), name
 
 
 def test_non_transitive_action_is_rejected_under_optimize():
@@ -384,6 +385,22 @@ def test_derived_subgroup():
     assert derived.order == 4
     assert is_normal(D8, derived)
     assert derived_subgroup(families.abelian([12])).order == 1
+
+
+def test_direct_product_matches_cell_formula():
+    small = [G for _, G in families.catalog_groups(8)]
+    for G in small:
+        for H in small:
+            P, nb = direct_product(G, H), H.order
+            assert P.table == tuple(
+                tuple(
+                    G.table[a1][a2] * nb + H.table[b1][b2]
+                    for a2 in range(G.order)
+                    for b2 in range(nb)
+                )
+                for a1 in range(G.order)
+                for b1 in range(nb)
+            )
 
 
 def test_direct_product_structure():

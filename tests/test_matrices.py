@@ -1,9 +1,19 @@
 import random
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cayleykit import matrices
 from cayleykit.cosets import CapExceeded
-from cayleykit.groups import enumerate_subgroups, identify, is_isomorphic, is_normal
+from cayleykit.groups import (
+    MAX_TABLE_CELLS,
+    enumerate_subgroups,
+    group_from_action,
+    identify,
+    is_isomorphic,
+    is_normal,
+)
 from cayleykit.matrices import (
     CycInt,
     CycMatrix,
@@ -197,8 +207,14 @@ def test_pauli_orders_and_identity():
     assert P1.order == 16
     assert is_isomorphic(P1, diquaternion_group(8)) is not None
     assert pauli_group(2).order == 64
-    with pytest.raises(ValueError):
-        pauli_group(4)
+    assert pauli_group(4).order == 1024
+    # the dense-table cap is the only bound: order 4^6 = 4096 fits, 4^7 does not
+    assert pauli_group(5).order == isqrt(MAX_TABLE_CELLS)
+    for qubits in (6, 10**12):
+        with pytest.raises(CapExceeded) as err:
+            pauli_group(qubits)
+        cap = f"table cap {MAX_TABLE_CELLS} cells exceeded (order 4^{qubits + 1})"
+        assert str(err.value) == cap
     with pytest.raises(ValueError):
         pauli_group(0)
 
@@ -218,3 +234,122 @@ def test_bad_closure_inputs():
         matrix_group_closure([j_matrix()], names=["a", "b"])
     with pytest.raises(ValueError):
         diquaternion_group(12)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        CycMatrix(1, [[1, 1], [0, 1]]),  # two entries in row 0
+        CycMatrix(1, [[1, 0], [1, 0]]),  # column 0 twice, column 1 never
+        CycMatrix(1, [[2, 0], [0, 1]]),  # an entry that is not a root of unity
+        CycMatrix(1, [[0, 0], [0, 1]]),  # an empty row
+        CycMatrix(3, [[zeta(3) + 1, 0], [0, 1]]),  # a sum of two roots
+    ],
+)
+def test_non_monomial_generator_is_rejected(gen):
+    with pytest.raises(ValueError, match="not monomial"):
+        matrix_group_closure([gen])
+    with pytest.raises(ValueError, match="not monomial"):
+        matrix_group_closure([j_matrix(), gen], names=["j", "x"])
+
+
+# --- the monomial closure against the CycMatrix closure -----------------------
+#
+# The library closes over (permutation, exponent) codes and renders labels
+# from them.  This reference multiplies whole CycMatrix objects and labels
+# each element with str(CycMatrix); both must give the same Group.
+
+
+def reference_closure(gens, names=None, cap=matrices.DEFAULT_CLOSURE_CAP):
+    gens = list(gens)
+    if names is None:
+        names = [f"g{k}" for k in range(len(gens))]
+    level = max(g.level for g in gens)
+    gens = [g.promote(level) for g in gens]
+    ident = CycMatrix.identity(gens[0].dim, level)
+    elements = [ident]
+    index = {ident: 0}
+    columns = [[] for _ in gens]
+    for m in elements:
+        for g, col in zip(gens, columns):
+            prod = m * g
+            if prod not in index:
+                if len(elements) >= cap:
+                    raise CapExceeded(f"matrix closure cap {cap} exceeded", len(elements))
+                index[prod] = len(elements)
+                elements.append(prod)
+            col.append(index[prod])
+    labels = tuple(str(m) for m in elements)
+    generators = tuple((str(name), col[0]) for name, col in zip(names, columns))
+    return group_from_action(columns, element_names=labels, generators=generators)
+
+
+def outcome(closure, *args):
+    try:
+        G = closure(*args)
+    except CapExceeded as exc:
+        return ("cap", str(exc), exc.cosets_defined)
+    return (G.table, G.element_names, G.generators, G.inverse)
+
+
+def closures_built_by(build):
+    """The arguments of every matrix_group_closure call that ``build`` makes."""
+    calls = []
+
+    def record(gens, names=None, cap=matrices.DEFAULT_CLOSURE_CAP):
+        calls.append((list(gens), names, cap))
+        return matrix_group_closure(gens, names, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrices, "matrix_group_closure", record)
+        build()
+    return calls
+
+
+TEST_CLOSURES = [
+    ([CycMatrix.identity(2)],),
+    ([rot_matrix(2), j_matrix(), f_matrix()], ["i", "j", "f"]),
+    ([rot_matrix(3), j_matrix(), f_matrix()],),
+    ([rot_matrix(3), j_matrix(), f_matrix()], None, 16),
+    ([kronecker(j_matrix(2), f_matrix(2)), kronecker(rot_matrix(2), f_matrix(2))],),
+    ([CycMatrix(1, [[-1]])],),
+]
+
+
+@pytest.mark.parametrize("args", TEST_CLOSURES)
+def test_closure_matches_reference(args):
+    assert outcome(matrix_group_closure, *args) == outcome(reference_closure, *args)
+
+
+@pytest.mark.parametrize(
+    "family, param",
+    [(pauli_group, q) for q in (1, 2, 3)]
+    + [(diquaternion_group, m) for m in (8, 16, 32, 64, 128, 256, 512)],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_family_closures_match_reference(family, param):
+    for args in closures_built_by(lambda: family(param)):
+        assert outcome(matrix_group_closure, *args) == outcome(reference_closure, *args)
+
+
+@st.composite
+def monomial_matrices(draw, dim):
+    level = draw(st.integers(1, 4))
+    perm = draw(st.permutations(range(dim)))
+    rows = [[0] * dim for _ in range(dim)]
+    for i, col in enumerate(perm):
+        rows[i][col] = CycInt.zeta(level, draw(st.integers(0, (1 << level) - 1)))
+    return CycMatrix(level, rows)
+
+
+@st.composite
+def monomial_generators(draw):
+    dim = draw(st.sampled_from((1, 2, 4)))
+    return draw(st.lists(monomial_matrices(dim), min_size=1, max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(monomial_generators(), st.integers(1, 48))
+def test_random_monomial_closures_match_reference(gens, cap):
+    got = outcome(matrix_group_closure, gens, None, cap)
+    assert got == outcome(reference_closure, gens, None, cap)
