@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -374,7 +375,9 @@ def _write(path: str, text: str):
         handle.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="cayleykit",
         description="Construct, analyze, and identify finite groups.",

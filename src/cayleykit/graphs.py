@@ -3,8 +3,11 @@
 A candidate graph has one permutation per color (directed colors are node
 successions, undirected colors are perfect matchings).  The graph is a Cayley
 graph iff it is connected and the color permutations generate a group whose
-order equals the node count (the regular-action criterion); either way the
-graph's loops present a group, which is enumerated and identified.
+order equals the node count (the regular-action criterion).  Either way the
+graph's loops present a group, which is identified.  A Cayley graph's color
+permutations are the closed coset table of that presentation, so its group
+is read from the graph; only a non-Cayley graph's loops are enumerated by
+Todd-Coxeter, since they present a proper quotient of the acting group.
 """
 
 from __future__ import annotations
@@ -12,10 +15,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter
 
 from . import cosets
-from .groups import Group, Identification, group_from_action, identify, subgroup_closure
-from .words import Presentation, Word, free_reduce, inverse_word
+from .groups import (
+    CapExceeded, Group, Identification, group_from_action, identify, subgroup_closure
+)
+from .words import Presentation, Word, format_word, free_reduce, inverse_word
 
 __all__ = [
     "GraphError",
@@ -180,6 +186,30 @@ def _closure(perms, limit: int) -> int | None:
     return len(elements)
 
 
+def _acts_regularly(perms) -> bool:
+    """Whether the transitive group the permutations generate acts regularly.
+
+    Node v's map is the product of the generators along the BFS tree from
+    node 0, so it sends 0 to v.  The maps of u.p and of u, then p, both send
+    0 to u.p; they differ exactly when the Schreier generator they give of
+    the stabiliser of node 0 is not trivial."""
+    n = len(perms[0])
+    maps: list[tuple[int, ...] | None] = [None] * n
+    maps[0] = tuple(range(n))
+    queue = [0]
+    for u in queue:  # a BFS queue, appended to while walked
+        then = itemgetter(*maps[u])  # then(p)[x] = p[maps[u][x]]
+        for p in perms:
+            v = p[u]
+            image = then(p)
+            if maps[v] is None:
+                maps[v] = image
+                queue.append(v)
+            elif maps[v] != image:
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class GraphVerdict:
     connected: bool
@@ -198,11 +228,18 @@ def is_cayley(
     order_cap: int = FULL_ORDER_CAP,
     allow_fixed_points: bool = False,
 ) -> GraphVerdict:
-    """Regular-action test: connected and closure order equals node count."""
+    """Regular-action test: connected and closure order equals node count.
+
+    A transitive group has order n times the size of a point stabiliser, so
+    without ``full_order`` a connected graph needs no closure: its order is n
+    when the action is regular and past n otherwise."""
     perms = color_permutations(graph, allow_fixed_points)
     n = graph.node_count
     connected = len(_orbit_of_zero(perms)) == n
-    order = _closure(perms, order_cap if full_order else n)
+    if connected and not full_order:
+        order = n if _acts_regularly(perms) else None
+    else:
+        order = _closure(perms, order_cap if full_order else n)
     exceeded = order is None
     regular = connected and order == n
     acting = _group_from_regular_action(graph, perms) if regular else None
@@ -348,16 +385,56 @@ class GraphReport:
         return self.presented_identification.describe()
 
 
+def _regular_coset_table(
+    presentation: Presentation, perms, max_cosets: int
+) -> cosets.CosetTable:
+    """The closed coset table of a regular graph's loop presentation: the
+    colour permutations themselves.
+
+    The loops are the Schreier generators of the stabiliser of their base
+    node, which for a regular action is the whole relation subgroup, so
+    Todd-Coxeter would rebuild this action.  Any node can be coset 0, the
+    base or not: left multiplication by an element is a colour-preserving
+    automorphism of a Cayley graph, taking node 0 to any node.  A relator
+    that fixes one point of a regular action fixes them all, so tracing each
+    from coset 0 checks the table."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be at least 1")
+    n = len(perms[0])
+    if n > max_cosets:
+        raise CapExceeded(
+            f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes "
+            f"has {n} cosets)",
+            n,
+        )
+    inverses = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in perms)
+    table = cosets.CosetTable(presentation, tuple(perms), inverses, n)
+    for rel in presentation.relators:
+        if table.trace(0, rel) != 0:
+            raise RuntimeError(
+                f"coset table does not close relator "
+                f"{format_word(rel, presentation.generators)} at coset 0"
+            )
+    return table
+
+
 def analyze(
     graph: ColoredDigraph,
     base: int = 0,
     full_order: bool = False,
     max_cosets: int = cosets.DEFAULT_MAX_COSETS,
 ) -> GraphReport:
-    """Invariants -> regularity verdict -> presentation -> enumeration -> names."""
+    """Invariants -> regularity verdict -> presentation -> coset table -> names.
+
+    A Cayley graph is its own coset table; only a non-Cayley graph's loops
+    are enumerated."""
     verdict = is_cayley(graph, full_order=full_order)
     presentation = extract_presentation(graph, base)
-    presented = cosets.group_from_presentation(presentation, max_cosets)
+    if verdict.is_cayley:
+        table = _regular_coset_table(presentation, verdict.color_perms, max_cosets)
+    else:
+        table = cosets.todd_coxeter(presentation, max_cosets)
+    presented = cosets.group_from_coset_table(table)
     acting_id = identify(verdict.acting_group) if verdict.acting_group else None
     return GraphReport(
         verdict=verdict,

@@ -83,6 +83,8 @@ class CycInt:
         return CycInt(level, tuple(coeffs))
 
     def promote(self, level: int) -> CycInt:
+        if level == self.level:
+            return self
         if level < self.level:
             raise LevelMismatch(f"cannot demote level {self.level} to {level}")
         coeffs = self.coeffs
@@ -263,12 +265,20 @@ class CycMatrix:
 def kronecker(a: CycMatrix, b: CycMatrix) -> CycMatrix:
     if a.level != b.level:
         raise LevelMismatch(f"level {a.level} vs {b.level}; promote explicitly")
-    db = b.dim
-    dim = a.dim * db
-    rows = [
-        tuple(a.rows[i // db][j // db] * b.rows[i % db][j % db] for j in range(dim))
-        for i in range(dim)
-    ]
+    # row i*b.dim + k, column j*b.dim + l holds a[i][j] * b[k][l]; a product
+    # with a zero factor is the zero entry, as most entries of a product are
+    zero = CycInt.from_int(0, a.level)
+    zeros = (zero,) * b.dim
+    rows = []
+    for row_a in a.rows:
+        for row_b in b.rows:
+            row = []
+            for x in row_a:
+                if x.is_zero():
+                    row.extend(zeros)
+                else:
+                    row.extend(zero if y.is_zero() else x * y for y in row_b)
+            rows.append(row)
     return CycMatrix(a.level, rows)
 
 

@@ -130,6 +130,54 @@ def test_cap_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_cayley_graph_over_the_coset_cap_exits_3(capsys, monkeypatch):
+    # a Cayley graph is read as its own coset table, which has a row per node
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "8")
+    graph = SRC / "cayleykit" / "fixtures" / "mirror16.json"
+    code = main(["check-graph", str(graph), "--json"])
+    captured = capsys.readouterr()
+    message = "cap exceeded: coset cap 8 exceeded (a regular graph on 16 nodes has 16 cosets)\n"
+    assert (code, captured.out, captured.err) == (3, "", message)
+
+
+PARSER_REUSE = [
+    ["enumerate", "<r,f | r^4=f^2=1, rfr=f>", "--json"],
+    ["check-graph", "petersen_graph.json"],
+    ["frobnicate", "1"],
+    ["fixture", "mirror16", "--analyze", "--json"],
+    ["enumerate", "<r | r^4>", "--max-cosets", "four"],
+    ["make", "dihedral", "4", "--table"],
+    ["identify", "--table", "latin_cyclic5.txt", "--json"],
+    ["check-table", "latin_nonassoc5.txt"],
+    ["check-graph", "--json"],
+    ["enumerate", "<r | r^6>"],
+]
+
+
+def test_parser_reused_across_calls_matches_fresh_runs(capsys, monkeypatch):
+    # one process, one parser: each call, parse errors included, must print
+    # what a fresh interpreter prints for the same argv
+    monkeypatch.chdir(DATA)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    codes = set()
+    for argv in PARSER_REUSE:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "cayleykit.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=DATA, timeout=60,
+        )
+        name = "x.json" if "--json" in argv and code == 0 else "x.txt"
+        assert (code, canonical(name, captured.out), captured.err) == (
+            fresh.returncode, canonical(name, fresh.stdout), fresh.stderr
+        ), argv
+        codes.add(code)
+    assert codes == {0, 2}
+
+
 def test_expect_assertion(capsys):
     code, _ = run_cli(["make", "quaternion", "16", "--expect", "Q_16"], capsys)
     assert code == 0

@@ -2,10 +2,14 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayleykit import families
-from cayleykit.cosets import group_from_presentation
+from cayleykit.cosets import group_from_coset_table, group_from_presentation, todd_coxeter
 from cayleykit.graphs import (
+    _closure,
+    _orbit_of_zero,
+    _regular_coset_table,
     ColoredDigraph,
     EdgeColor,
     GraphError,
@@ -20,7 +24,8 @@ from cayleykit.graphs import (
     is_cayley,
     load_graph_json,
 )
-from cayleykit.groups import is_isomorphic
+from cayleykit.groups import CapExceeded, is_isomorphic
+from cayleykit.words import Presentation
 
 DATA = pathlib.Path(__file__).parent / "data"
 ORACLE = json.loads((DATA / "puzzle_oracle.json").read_text())
@@ -370,18 +375,168 @@ def test_mirror_phase_flips_give_diquaternion_graphs():
     assert sorted(pairwise_product_orders(flipped32)) == [4, 4, 8]
 
 
+def perturbed(graph):
+    """Swap the heads of the first two edges of the first colour."""
+    color = graph.colors[0]
+    edges = list(color.edges)
+    (a, b), (c, d) = edges[0], edges[1]
+    edges[0], edges[1] = (a, d), (c, b)
+    return ColoredDigraph(
+        graph.node_count,
+        (EdgeColor(color.name, color.directed, tuple(edges)),) + graph.colors[1:],
+        graph.labels,
+    )
+
+
 def test_perturbed_cayley_graph_loses_regularity():
     # rewiring one blue spoke pair of a true Cayley graph must not stay regular
     g = fixture("mirror16")
-    blue = g.colors[0]
-    edges = list(blue.edges)
-    (a, b), (c, d) = edges[0], edges[1]
-    edges[0], edges[1] = (a, d), (c, b)
-    perturbed = ColoredDigraph(
-        g.node_count, (EdgeColor("blue", False, tuple(edges)),) + g.colors[1:]
-    )
-    report = analyze(perturbed)
+    report = analyze(perturbed(g))
     if report.is_cayley:
         assert report.presented_order == g.node_count
     else:
         assert report.presented_order < g.node_count
+
+
+# --- a Cayley graph is its own coset table ------------------------------------------
+
+CAYLEY_FIXTURES = sorted(name for name in ORACLE if ORACLE[name]["is_cayley"])
+CATALOG_GRAPHS = [
+    (name, build_cayley_graph(G))
+    for name, G in families.catalog_groups(64)
+    if G.order > 1
+]
+
+
+def relabelled(graph, order):
+    """The same graph with node x renamed order[x]."""
+    colors = tuple(
+        EdgeColor(c.name, c.directed, tuple((order[u], order[v]) for u, v in c.edges))
+        for c in graph.colors
+    )
+    labels = [None] * graph.node_count
+    for x, new in enumerate(order):
+        labels[new] = graph.label_of(x)
+    return ColoredDigraph(graph.node_count, colors, tuple(labels))
+
+
+def assert_read_as_enumerated(graph, base=0):
+    """analyze() reads a regular graph's presented group off the graph; it
+    must equal what Todd-Coxeter makes of the graph's loops, and the table
+    it was read from must close every relator at every coset."""
+    report = analyze(graph, base=base)
+    assert report.is_cayley
+    presentation = extract_presentation(graph, base)
+    table = _regular_coset_table(presentation, report.verdict.color_perms, graph.node_count)
+    assert table.open_relator() is None
+    reference = group_from_presentation(presentation)
+    for group in (report.presented_group, group_from_coset_table(table)):
+        assert group.table == reference.table
+        assert group.element_names == reference.element_names
+        assert group.generators == reference.generators
+        assert group.inverse == reference.inverse
+
+
+@pytest.mark.parametrize("name", CAYLEY_FIXTURES)
+def test_cayley_fixture_read_as_enumerated(name):
+    graph = fixture(name)
+    for base in (0, 1, 7, graph.node_count - 1):
+        assert_read_as_enumerated(graph, base)
+
+
+def test_catalog_cayley_graphs_read_as_enumerated():
+    for _, graph in CATALOG_GRAPHS:
+        assert_read_as_enumerated(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_relabelled_cayley_graphs_read_as_enumerated(data):
+    _, graph = data.draw(st.sampled_from([c for c in CATALOG_GRAPHS if c[1].node_count <= 24]))
+    order = data.draw(st.permutations(range(graph.node_count)))
+    base = data.draw(st.integers(0, graph.node_count - 1))
+    assert_read_as_enumerated(relabelled(graph, order), base)
+
+
+def test_non_cayley_graphs_are_enumerated(monkeypatch):
+    calls = []
+
+    def counted(presentation, max_cosets):
+        calls.append(presentation)
+        return todd_coxeter(presentation, max_cosets)
+
+    monkeypatch.setattr("cayleykit.cosets.todd_coxeter", counted)
+    for name in sorted(ORACLE):
+        calls.clear()
+        analyze(fixture(name))
+        assert len(calls) == (0 if ORACLE[name]["is_cayley"] else 1)
+
+
+def test_regular_table_refuses_open_relator_and_cap():
+    graph = fixture("mirror16")
+    perms = tuple(color_permutations(graph))
+    presentation = extract_presentation(graph)
+    # the generators' product is no relator: it moves every node of a regular graph
+    bad = Presentation(
+        presentation.generators,
+        presentation.relators + (((0, 1), (1, 1)),),
+        presentation.involutions,
+    )
+    with pytest.raises(RuntimeError, match="does not close relator"):
+        _regular_coset_table(bad, perms, 16)
+    with pytest.raises(CapExceeded):
+        _regular_coset_table(presentation, perms, 15)
+    with pytest.raises(ValueError, match="at least 1"):
+        _regular_coset_table(presentation, perms, 0)
+
+
+# --- the regularity verdict against the closure ----------------------------------
+
+
+def closure_verdict(graph):
+    """(order, exceeds, capped, is_cayley) as the permutation closure gives them."""
+    perms = color_permutations(graph)
+    n = graph.node_count
+    order = _closure(perms, n)
+    return order, order is None or order > n, False, len(_orbit_of_zero(perms)) == n == order
+
+
+def verdict_fields(graph):
+    v = is_cayley(graph)
+    return v.perm_group_order, v.order_exceeds_nodes, v.order_capped, v.is_cayley
+
+
+def test_regularity_verdict_matches_closure_on_fixtures_and_catalog():
+    graphs = [fixture(name) for name in sorted(ORACLE)]
+    graphs += [graph for _, graph in CATALOG_GRAPHS]
+    graphs += [
+        perturbed(graph)
+        for _, graph in CATALOG_GRAPHS
+        if len(graph.colors[0].edges) > 1 and graph.node_count > 4
+    ]
+    verdicts = set()
+    for graph in graphs:
+        try:
+            expected = closure_verdict(graph)
+        except GraphError:  # a perturbation that made a self-loop
+            continue
+        assert verdict_fields(graph) == expected
+        verdicts.add(expected[3])
+    assert verdicts == {True, False}
+
+
+def derangements(n):
+    return st.permutations(range(n)).filter(lambda p: all(p[x] != x for x in range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_regularity_verdict_matches_closure_on_random_permutations(data):
+    n = data.draw(st.integers(2, 9))
+    k = data.draw(st.integers(1, 3))
+    colors = tuple(
+        EdgeColor(f"c{i}", True, tuple(enumerate(data.draw(derangements(n)))))
+        for i in range(k)
+    )
+    graph = ColoredDigraph(n, colors)
+    assert verdict_fields(graph) == closure_verdict(graph)

@@ -154,6 +154,52 @@ def test_kronecker():
     assert square == separate
 
 
+def entrywise_kronecker(a, b):
+    # the plain formula: every entry a product, zero factors included
+    db = b.dim
+    dim = a.dim * db
+    return CycMatrix(a.level, [
+        [a.rows[i // db][j // db] * b.rows[i % db][j % db] for j in range(dim)]
+        for i in range(dim)
+    ])
+
+
+def assert_same_matrix(got, want):
+    assert got == want
+    assert str(got) == str(want)
+    assert got.level == want.level
+    assert [[e.coeffs for e in row] for row in got.rows] == [
+        [e.coeffs for e in row] for row in want.rows
+    ]
+
+
+@pytest.mark.parametrize("qubits", [1, 2, 3])
+def test_kronecker_of_pauli_generators_matches_entrywise_formula(qubits):
+    eye = CycMatrix.identity(2, 2)
+    for mat in (rot_matrix(2), j_matrix(2), f_matrix(2)):
+        for q in range(qubits):
+            fast = slow = None
+            for slot in range(qubits):
+                factor = mat if slot == q else eye
+                fast = factor if fast is None else kronecker(fast, factor)
+                slow = factor if slow is None else entrywise_kronecker(slow, factor)
+            assert_same_matrix(fast, slow)
+
+
+def test_kronecker_of_random_matrices_matches_entrywise_formula():
+    rng = random.Random(9)
+    for _ in range(40):
+        level = rng.randint(1, 3)
+        a, b = (
+            CycMatrix(level, [
+                [rand_cyc(rng, level, -2, 2) if rng.random() < 0.5 else 0 for _ in range(dim)]
+                for _ in range(dim)
+            ])
+            for dim in (rng.choice((1, 2, 4)), rng.choice((1, 2, 4)))
+        )
+        assert_same_matrix(kronecker(a, b), entrywise_kronecker(a, b))
+
+
 def test_closure_trivial():
     G = matrix_group_closure([CycMatrix.identity(2)])
     assert G.order == 1
