@@ -21,7 +21,7 @@ from . import cosets
 from .groups import (
     CapExceeded, Group, Identification, group_from_action, identify, subgroup_closure
 )
-from .words import Presentation, Word, format_word, free_reduce, inverse_word
+from .words import Presentation, Word, format_word, inverse_word
 
 __all__ = [
     "GraphError",
@@ -307,21 +307,12 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     n = graph.node_count
     if len(_orbit_of_zero(perms)) != n:
         raise GraphError("graph is not connected")
-    inv_perms = []
-    for p in perms:
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        inv_perms.append(tuple(inv))
+    inv_perms = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
 
-    words: list[Word | None] = [None] * n
+    words: list = [None] * n
     words[base] = ()
-    tree_edges: set[tuple[int, int, int]] = set()  # (color, from, to) directed sense
     queue = [base]
-    head = 0
-    while head < len(queue):
-        u = queue[head]
-        head += 1
+    for u in queue:  # a BFS queue, appended to while walked
         for ci, color in enumerate(graph.colors):
             steps = [(perms[ci][u], 1)]
             if color.directed:
@@ -329,33 +320,23 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
             for v, sign in steps:
                 if words[v] is None:
                     words[v] = words[u] + ((ci, sign),)
-                    if color.directed:
-                        tree_edges.add((ci, u, v) if sign > 0 else (ci, v, u))
-                    else:
-                        tree_edges.add((ci, min(u, v), max(u, v)))
                     queue.append(v)
 
+    # Edge u -> v = u.c is a tree edge iff v's word ends in c or u's word in
+    # c^-1 (in c, for an undirected colour).  So a loop through any other edge
+    # does not cancel where c meets a tree word, and no two loops share their
+    # one non-tree edge: every relator is free-reduced and distinct as built.
     relators: list[Word] = []
-    seen_relators: set[Word] = set()
-
-    def add(rel: Word):
-        rel = free_reduce(rel)
-        if rel and rel not in seen_relators:
-            seen_relators.add(rel)
-            relators.append(rel)
-
     for ci, color in enumerate(graph.colors):
+        forth, back = ((ci, 1),), ((ci, -1 if color.directed else 1),)
         if not color.directed:
-            add(((ci, 1), (ci, 1)))
+            relators.append(forth + forth)
         for u in range(n):
             v = perms[ci][u]
-            if color.directed:
-                if (ci, u, v) in tree_edges:
-                    continue
-            else:
-                if v < u or (ci, u, v) in tree_edges:
-                    continue
-            add(words[u] + ((ci, 1),) + inverse_word(words[v]))  # type: ignore[operator]
+            tree = words[v][-1:] == forth or words[u][-1:] == back
+            if tree or (v < u and not color.directed):
+                continue
+            relators.append(words[u] + forth + inverse_word(words[v]))
 
     names = tuple(color.name for color in graph.colors)
     involutions = frozenset(
@@ -435,13 +416,14 @@ def analyze(
     else:
         table = cosets.todd_coxeter(presentation, max_cosets)
     presented = cosets.group_from_coset_table(table)
-    acting_id = identify(verdict.acting_group) if verdict.acting_group else None
+    presented_id = identify(presented)
     return GraphReport(
         verdict=verdict,
         presentation=presentation,
         presented_group=presented,
-        presented_identification=identify(presented),
-        acting_identification=acting_id,
+        presented_identification=presented_id,
+        # a regular action's group is isomorphic to the presented group
+        acting_identification=presented_id if verdict.is_cayley else None,
     )
 
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
-from operator import itemgetter
+from operator import eq, itemgetter
 
 __all__ = [
     "CapExceeded",
@@ -84,7 +84,8 @@ class Group:
     """Finite group given by an n x n multiplication table over 0..n-1."""
 
     __slots__ = (
-        "order", "table", "inverse", "element_names", "generators", "_orders", "_fp"
+        "order", "table", "inverse", "element_names", "generators", "_orders",
+        "_centralizers", "_fp",
     )
 
     def __init__(
@@ -118,7 +119,7 @@ class Group:
         for _, el in self.generators:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
-        self._orders = self._fp = None
+        self._orders = self._centralizers = self._fp = None
 
     @property
     def identity(self) -> int:
@@ -157,6 +158,16 @@ class Group:
                     orders[x] = m // gcd(k, m)
             self._orders = tuple(orders)
         return self._orders
+
+    def centralizer_orders(self) -> tuple[int, ...]:
+        """The order of each element's centraliser, computed on the first call
+        only: g's centraliser holds the x where g's row and column agree."""
+        if self._centralizers is None:
+            t = self.table
+            self._centralizers = tuple(
+                sum(map(eq, row, column)) for row, column in zip(t, zip(*t))
+            )
+        return self._centralizers
 
     def order_histogram(self) -> Counter[int]:
         return Counter(self.element_orders())
@@ -248,24 +259,39 @@ def _check_axioms(rows):
         for x in row:
             if not isinstance(x, int) or not 0 <= x < n:
                 raise GroupError(f"entry {x!r} in row {i} out of range")
-    if rows[0] != tuple(range(n)):
-        raise GroupError("row 0 must equal the header (element 0 is the identity)")
-    for i in range(n):
-        if rows[i][0] != i:
-            raise GroupError("column 0 must equal the header")
-    full = set(range(n))
-    for i in range(n):
-        if set(rows[i]) != full:
-            raise GroupError(f"row {i} is not a permutation (not a Latin square)")
-    for j, column in enumerate(zip(*rows)):
-        if set(column) != full:
-            raise GroupError(f"column {j} is not a permutation (not a Latin square)")
-    for g in range(n):
-        if rows[rows[g].index(0)][g] != 0:
-            raise GroupError(f"element {g} has no two-sided inverse")
+    if _two_sided_identity(rows) != 0:
+        raise GroupError(
+            "row 0 and column 0 must equal the header (element 0 is the identity)"
+        )
+    violation = _latin_violation(rows)
+    if violation is not None:
+        kind, i, _ = violation
+        raise GroupError(f"{kind} {i} is not a permutation (not a Latin square)")
+    # no inverse check: in an associative loop, x*y = e makes y*x idempotent, so e
     if not _light_test(rows, 0):
         x, y, z = _first_witness(rows)
         raise GroupError(f"associativity fails at ({x},{y},{z})")
+
+
+def _latin_violation(rows) -> tuple[str, int, int] | None:
+    """The first repeat in a square table of entries 0..n-1, scanning rows
+    top-down then columns left to right: ("row" or "column", its index, the
+    first entry that line repeats), or None for a Latin square."""
+    n = len(rows)
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if len(set(line)) != n:
+                return kind, i, next(x for j, x in enumerate(line) if x in line[:j])
+    return None
+
+
+def _two_sided_identity(rows) -> int | None:
+    """The least e whose row and column both read 0..n-1, or None."""
+    header = tuple(range(len(rows)))
+    for e, row in enumerate(rows):
+        if row == header and all(r[e] == i for i, r in enumerate(rows)):
+            return e
+    return None
 
 
 def _generating_sequence(rows, identity=None) -> list[int]:
@@ -465,17 +491,20 @@ def is_isomorphic(G: Group, H: Group):
     """An isomorphism as a tuple (image of each G element), or None.
 
     Backtracks over images of a greedy minimal generating sequence of G;
-    candidate images are tried in ascending element order, so the result is
-    deterministic.
+    candidate images are those of the same order and centraliser order, tried
+    in ascending element order, so the result is deterministic.
     """
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
     n = G.order
-    orders_g = G.element_orders()
-    orders_h = H.element_orders()
+    # an isomorphism preserves each element's order and centraliser order
+    kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
+    kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
     gens = _generating_sequence(G.table, 0)
 
     def saturate(phi: dict[int, int]):
+        """Close phi under products; None unless it stays well defined and injective."""
+        images = set(phi.values())
         queue = list(phi)
         while queue:
             a = queue.pop()
@@ -487,22 +516,23 @@ def is_isomorphic(G: Group, H: Group):
                     if x in phi:
                         if phi[x] != y:
                             return None
+                    elif y in images:
+                        return None
                     else:
                         phi[x] = y
+                        images.add(y)
                         queue.append(x)
         return phi
 
     def extend(phi: dict[int, int], k: int):
         if k == len(gens):
-            if len(phi) != n or len(set(phi.values())) != n:
-                return None
-            return phi
+            return phi if len(phi) == n else None
         g = gens[k]
         if g in phi:
             return extend(phi, k + 1)
         used = set(phi.values())
         for h in range(n):
-            if h in used or orders_h[h] != orders_g[g]:
+            if h in used or kind_h[h] != kind_g[g]:
                 continue
             trial = saturate({**phi, g: h})
             if trial is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, Identification, Subgroup, identify, quotient
-from .groups import _first_witness, _light_test
+from .groups import _first_witness, _latin_violation, _light_test, _two_sided_identity
 
 __all__ = [
     "TableError",
@@ -116,32 +116,17 @@ class LatinViolation:
 
 def latin_check(t: FiniteTable) -> LatinViolation | None:
     """First repeated symbol, scanning rows top-down then columns left-right."""
-    n = t.order
-    for i in range(n):
-        seen = set()
-        for j in range(n):
-            x = t.cells[i][j]
-            if x in seen:
-                return LatinViolation("row", i, t.symbols[x])
-            seen.add(x)
-    for j in range(n):
-        seen = set()
-        for i in range(n):
-            x = t.cells[i][j]
-            if x in seen:
-                return LatinViolation("column", j, t.symbols[x])
-            seen.add(x)
-    return None
+    violation = _latin_violation(t.cells)
+    if violation is None:
+        return None
+    kind, index, x = violation
+    return LatinViolation(kind, index, t.symbols[x])
 
 
 def identity_check(t: FiniteTable) -> str | None:
     """The symbol whose row and column both reproduce the header, if any."""
-    n = t.order
-    header = tuple(range(n))
-    for e in range(n):
-        if t.cells[e] == header and all(t.cells[i][e] == i for i in range(n)):
-            return t.symbols[e]
-    return None
+    e = _two_sided_identity(t.cells)
+    return None if e is None else t.symbols[e]
 
 
 def associativity_witness(t: FiniteTable) -> tuple[int, int, int] | None:
@@ -196,8 +181,9 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     """Accept the table as a group iff all axioms verify; reject with the
     failed axiom and a concrete witness otherwise.
 
-    Each axiom is checked once.  Light's test decides associativity; the
-    O(n^3) scan runs only on rejection, to name the first failing triple.
+    Each axiom is checked once, by the same helpers as ``Group(table)``.
+    Light's test decides associativity; the O(n^3) scan runs only on
+    rejection, to name the first failing triple.
     """
     violation = latin_check(t)
     identity = identity_check(t)

@@ -24,8 +24,8 @@ from cayleykit.graphs import (
     is_cayley,
     load_graph_json,
 )
-from cayleykit.groups import CapExceeded, is_isomorphic
-from cayleykit.words import Presentation
+from cayleykit.groups import CapExceeded, identify, is_isomorphic
+from cayleykit.words import Presentation, free_reduce
 
 DATA = pathlib.Path(__file__).parent / "data"
 ORACLE = json.loads((DATA / "puzzle_oracle.json").read_text())
@@ -456,6 +456,43 @@ def test_relabelled_cayley_graphs_read_as_enumerated(data):
     order = data.draw(st.permutations(range(graph.node_count)))
     base = data.draw(st.integers(0, graph.node_count - 1))
     assert_read_as_enumerated(relabelled(graph, order), base)
+
+
+def reduced_and_deduplicated(relators):
+    """Each relator free-reduced, the empty and repeated ones dropped."""
+    out = []
+    for rel in map(free_reduce, relators):
+        if rel and rel not in out:
+            out.append(rel)
+    return tuple(out)
+
+
+def test_loop_relators_are_reduced_and_distinct_as_built():
+    graphs = [fixture(name) for name in sorted(ORACLE)]
+    graphs += [graph for _, graph in CATALOG_GRAPHS]
+    for graph in graphs:
+        if len(_orbit_of_zero(color_permutations(graph))) != graph.node_count:
+            continue
+        n = graph.node_count
+        edges = sum(len(color.edges) for color in graph.colors)
+        undirected = sum(not color.directed for color in graph.colors)
+        for base in (0, 1, n - 1) if n > 1 else (0,):
+            relators = extract_presentation(graph, base).relators
+            assert relators == reduced_and_deduplicated(relators)
+            assert len(relators) == edges - (n - 1) + undirected
+
+
+def test_acting_group_is_named_as_the_presented_group():
+    graphs = [fixture(name) for name in sorted(ORACLE)]
+    graphs += [graph for _, graph in CATALOG_GRAPHS]
+    for graph in graphs:
+        report = analyze(graph)
+        acting = report.verdict.acting_group
+        if report.is_cayley:
+            assert report.acting_identification == identify(acting)
+            assert report.acting_identification is report.presented_identification
+        else:
+            assert acting is None and report.acting_identification is None
 
 
 def test_non_cayley_graphs_are_enumerated(monkeypatch):

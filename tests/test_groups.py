@@ -66,6 +66,37 @@ def test_rejects_bad_identity_row():
         Group([[1, 0], [0, 1]])
 
 
+def test_identity_must_be_element_zero():
+    message = "row 0 and column 0 must equal the header (element 0 is the identity)"
+    for cells in ([[1, 0], [0, 1]], [[0, 1, 2], [2, 0, 1], [1, 2, 0]]):
+        with pytest.raises(GroupError) as err:
+            Group(cells)
+        assert str(err.value) == message
+
+
+def test_one_sided_inverse_is_an_associativity_failure():
+    # a Latin square with identity 0 where 2 * 3 = 0 but 3 * 2 = 1; inverses
+    # have no check of their own, since an associative loop is a group
+    cells = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 3, 4, 0, 1],
+        [3, 4, 1, 2, 0],
+        [4, 2, 0, 1, 3],
+    ]
+    assert cells[2][3] == 0 != cells[3][2]
+    first = next(
+        (a, b, c)
+        for a in range(5)
+        for b in range(5)
+        for c in range(5)
+        if cells[cells[a][b]][c] != cells[a][cells[b][c]]
+    )
+    with pytest.raises(GroupError) as err:
+        Group(cells)
+    assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+
+
 def test_rejects_non_associative_latin_square():
     # order-5 Latin square with identity first and every square trivial;
     # Lagrange rules it out, and the constructor's scan catches it
@@ -369,6 +400,70 @@ def test_identify_round_trip_over_catalog():
         assert is_isomorphic(by_name[ident.name], G) is not None
 
 
+def relabelled_group(G, seed):
+    """G with its non-identity elements listed in a seeded random order."""
+    order = list(range(1, G.order))
+    random.Random(seed).shuffle(order)
+    order = [0, *order]
+    pos = {g: i for i, g in enumerate(order)}
+    return Group([[pos[G.table[a][b]] for b in order] for a in order])
+
+
+def test_shuffled_order_64_catalog_groups_keep_their_names():
+    for name, G in families.nonabelian_catalog(64):
+        assert identify(relabelled_group(G, 64)).name == identify(G).name, name
+
+
+def first_isomorphism_by_element_orders(G, H):
+    """The isomorphism search with candidates pruned by element order alone and
+    no injectivity check before the end: the first mapping, in ascending
+    candidate order, of G's generating sequence."""
+    gens = _generating_sequence(G.table, 0)
+    orders_g, orders_h = G.element_orders(), H.element_orders()
+
+    def saturate(phi):
+        queue = list(phi)
+        while queue:
+            a = queue.pop()
+            for b in list(phi):
+                for x, y in (
+                    (G.table[a][b], H.table[phi[a]][phi[b]]),
+                    (G.table[b][a], H.table[phi[b]][phi[a]]),
+                ):
+                    if x not in phi:
+                        phi[x] = y
+                        queue.append(x)
+                    elif phi[x] != y:
+                        return None
+        return phi
+
+    def extend(phi, k):
+        if k == len(gens):
+            return phi if len(set(phi.values())) == G.order else None
+        if gens[k] in phi:
+            return extend(phi, k + 1)
+        for h in range(H.order):
+            if h not in phi.values() and orders_h[h] == orders_g[gens[k]]:
+                trial = saturate({**phi, gens[k]: h})
+                result = trial and extend(trial, k + 1)
+                if result:
+                    return result
+        return None
+
+    phi = extend({0: 0}, 0)
+    return phi and tuple(phi[g] for g in range(G.order))
+
+
+def test_pruned_search_keeps_the_mapping():
+    # candidates are tried in ascending order either way, and an isomorphism
+    # is injective and keeps centraliser orders, so pruning on them finds the
+    # mapping that element orders alone find
+    pairs = [(G, relabelled_group(G, seed)) for seed, G in enumerate(CATALOG) if G.order <= 32]
+    for G, H in pairs:
+        assert is_isomorphic(G, H) == first_isomorphism_by_element_orders(G, H)
+        assert is_isomorphic(H, G) == first_isomorphism_by_element_orders(H, G)
+
+
 def test_fingerprint_fields():
     fp = families.quaternion(8).fingerprint()
     assert fp.order == 8
@@ -457,6 +552,13 @@ def oracle_abelian_invariants(G):
     return factors
 
 
+def oracle_centralizer_orders(G):
+    t = G.table
+    return tuple(
+        sum(t[g][x] == t[x][g] for x in range(G.order)) for g in range(G.order)
+    )
+
+
 def assert_invariants_match_oracle(G):
     orders = [G.order_of(g) for g in range(G.order)]
     abelian = oracle_is_abelian(G)
@@ -473,12 +575,14 @@ def assert_invariants_match_oracle(G):
     )
     if abelian:
         assert abelian_invariants(G) == oracle_abelian_invariants(G)
-    # is_isomorphic backtracks over this sequence and nothing else that
-    # changed, so equal sequences mean equal mappings
+    # is_isomorphic backtracks over this sequence, pruned by the element and
+    # centraliser orders, so equal sequences and orders mean equal mappings
     gens = _generating_sequence(G.table, 0)
     assert gens == oracle_generating_sequence(G)
     assert G.element_orders() is G.element_orders()
     assert list(G.element_orders()) == orders
+    assert G.centralizer_orders() is G.centralizer_orders()
+    assert G.centralizer_orders() == oracle_centralizer_orders(G)
 
 
 CATALOG = [G for _, G in families.catalog_groups(64)]

@@ -9,6 +9,7 @@ from cayleykit import families
 from cayleykit.groups import Group, GroupError, is_isomorphic, subgroup_closure
 from cayleykit.tables import (
     FiniteTable,
+    LatinViolation,
     TableError,
     associativity_witness,
     group_from_table,
@@ -243,8 +244,95 @@ def test_light_and_reported_witness_agree_with_full_scan(t):
         else:
             with pytest.raises(GroupError) as err:
                 Group(t.cells)
-            if "associativity" in str(err.value):
-                assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+            assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+
+
+def with_identity_first(t):
+    """The table relabelled so that its two-sided identity, if any, is symbol 0."""
+    e = identity_check(t)
+    if e is None:
+        return t
+    swap = list(range(t.order))
+    e = t.symbols.index(e)
+    swap[0], swap[e] = e, 0
+    cells = [[0] * t.order for _ in range(t.order)]
+    for i, row in enumerate(t.cells):
+        for j, x in enumerate(row):
+            cells[swap[i]][swap[j]] = swap[x]
+    return FiniteTable(t.symbols, tuple(map(tuple, cells)))
+
+
+@st.composite
+def unital_magmas(draw):
+    """Symbol 0 a two-sided identity, every other product drawn at random: a
+    few are associative without being Latin (monoids that are not groups)."""
+    n = draw(st.integers(1, 4))
+    rows = [list(range(n))]
+    for i in range(1, n):
+        rows.append([i] + draw(st.lists(st.integers(0, n - 1), min_size=n - 1, max_size=n - 1)))
+    return FiniteTable(tuple(f"s{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_magmas(), unital_magmas(), perturbed_group_tables()))
+def test_group_constructor_rejects_exactly_what_group_from_table_rejects(t):
+    t = with_identity_first(t)
+    result = group_from_table(t)
+    try:
+        Group(t.cells)
+    except GroupError:
+        assert not result.ok
+    else:
+        assert result.ok
+
+
+# --- the Latin check against a per-cell reference scan --------------------------------
+
+
+def latin_check_by_cell_scan(t):
+    """First repeated symbol, rows top-down then columns left-right, cell by cell."""
+    n = t.order
+    for i in range(n):
+        seen = set()
+        for j in range(n):
+            x = t.cells[i][j]
+            if x in seen:
+                return LatinViolation("row", i, t.symbols[x])
+            seen.add(x)
+    for j in range(n):
+        seen = set()
+        for i in range(n):
+            x = t.cells[i][j]
+            if x in seen:
+                return LatinViolation("column", j, t.symbols[x])
+            seen.add(x)
+    return None
+
+
+@st.composite
+def magmas_with_repeats_in(draw, where):
+    """An order 1-7 magma whose repeats lie in its rows only, its columns only,
+    in both, or nowhere (a Latin square: a relabelled cyclic group table)."""
+    n = draw(st.integers(1, 7))
+    perm = st.permutations(range(n))
+    if where == "rows":  # every column a permutation
+        columns = [draw(perm) for _ in range(n)]
+        rows = [[columns[j][i] for j in range(n)] for i in range(n)]
+    elif where == "columns":  # every row a permutation
+        rows = [draw(perm) for _ in range(n)]
+    elif where == "both":
+        line = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+        rows = [draw(line) for _ in range(n)]
+    else:
+        p, r, c = draw(perm), draw(perm), draw(perm)
+        rows = [[p[(r[i] + c[j]) % n] for j in range(n)] for i in range(n)]
+    return FiniteTable(tuple(f"s{i}" for i in range(n)), tuple(map(tuple, rows)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["rows", "columns", "both", "nowhere"]).flatmap(magmas_with_repeats_in))
+def test_latin_check_matches_cell_scan(t):
+    assert latin_check(t) == latin_check_by_cell_scan(t)
 
 
 # --- group_from_table ---------------------------------------------------------------
