@@ -48,7 +48,6 @@ from .tables import (
     identity_check,
     latin_check,
     parse_table,
-    render_quotient_table,
     render_table,
 )
 from .words import ParseError, Presentation, Word, parse_presentation
@@ -94,7 +93,6 @@ __all__ = [
     "parse_presentation",
     "parse_table",
     "quotient",
-    "render_quotient_table",
     "render_table",
     "subgroup_closure",
     "todd_coxeter",

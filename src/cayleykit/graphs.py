@@ -94,9 +94,7 @@ class ColoredDigraph:
         return self.labels[node] if self.labels else str(node)
 
 
-def color_permutations(
-    graph: ColoredDigraph, allow_fixed_points: bool = False
-) -> list[tuple[int, ...]]:
+def color_permutations(graph: ColoredDigraph) -> list[tuple[int, ...]]:
     """One permutation per color; raises GraphError naming the offender."""
     if not graph.colors:
         raise GraphError("graph has no colors")
@@ -137,17 +135,13 @@ def color_permutations(
                         "is matched twice"
                     )
                 image[u], image[v] = v, u
-            if not allow_fixed_points:
-                for node in range(n):
-                    if node not in image:
-                        raise GraphError(
-                            f"color {color.name!r}: node {node} is unmatched "
-                            "(an order-2 generator fixes no vertex)"
-                        )
-        perm = tuple(image.get(node, node) for node in range(n))
-        if perm == tuple(range(n)):
-            raise GraphError(f"color {color.name!r}: permutation is the identity")
-        perms.append(perm)
+            for node in range(n):
+                if node not in image:
+                    raise GraphError(
+                        f"color {color.name!r}: node {node} is unmatched "
+                        "(an order-2 generator fixes no vertex)"
+                    )
+        perms.append(tuple(image[node] for node in range(n)))
     return perms
 
 
@@ -226,14 +220,13 @@ def is_cayley(
     graph: ColoredDigraph,
     full_order: bool = False,
     order_cap: int = FULL_ORDER_CAP,
-    allow_fixed_points: bool = False,
 ) -> GraphVerdict:
     """Regular-action test: connected and closure order equals node count.
 
     A transitive group has order n times the size of a point stabiliser, so
     without ``full_order`` a connected graph needs no closure: its order is n
     when the action is regular and past n otherwise."""
-    perms = color_permutations(graph, allow_fixed_points)
+    perms = color_permutations(graph)
     n = graph.node_count
     connected = len(_orbit_of_zero(perms)) == n
     if connected and not full_order:
@@ -283,7 +276,7 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
         raise GraphError("the given elements do not generate the group")
     colors = []
     for name, el in gens:
-        if G.order_of(el) == 2:
+        if G.element_orders()[el] == 2:
             edges = tuple(
                 (g, G.table[g][el]) for g in range(G.order) if g < G.table[g][el]
             )
@@ -339,10 +332,7 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
             relators.append(words[u] + forth + inverse_word(words[v]))
 
     names = tuple(color.name for color in graph.colors)
-    involutions = frozenset(
-        ci for ci, color in enumerate(graph.colors) if not color.directed
-    )
-    return Presentation(names, tuple(relators), involutions)
+    return Presentation(names, tuple(relators))
 
 
 @dataclass(frozen=True)
@@ -460,7 +450,7 @@ def _boolean(value, what: str) -> bool:
 def load_graph_json(text: str) -> ColoredDigraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GraphError(f"invalid graph JSON: {exc}") from None
     if not isinstance(data, dict) or "nodes" not in data or "colors" not in data:
         raise GraphError('graph JSON needs "nodes" and "colors"')

@@ -125,21 +125,6 @@ class Group:
     def identity(self) -> int:
         return 0
 
-    def power(self, g: int, k: int) -> int:
-        if k < 0:
-            g, k = self.inverse[g], -k
-        out = 0
-        for _ in range(k):
-            out = self.table[out][g]
-        return out
-
-    def order_of(self, g: int) -> int:
-        x, m = g, 1
-        while x != 0:
-            x = self.table[x][g]
-            m += 1
-        return m
-
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, computed on the first call only.
 
@@ -502,10 +487,10 @@ def is_isomorphic(G: Group, H: Group):
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
     gens = _generating_sequence(G.table, 0)
 
-    def saturate(phi: dict[int, int]):
+    def saturate(phi: dict[int, int], g: int):
         """Close phi under products; None unless it stays well defined and injective."""
         images = set(phi.values())
-        queue = list(phi)
+        queue = [g]  # phi was closed before g: only pairs with a new element are new
         while queue:
             a = queue.pop()
             for b in list(phi):
@@ -534,7 +519,7 @@ def is_isomorphic(G: Group, H: Group):
         for h in range(n):
             if h in used or kind_h[h] != kind_g[g]:
                 continue
-            trial = saturate({**phi, g: h})
+            trial = saturate({**phi, g: h}, g)
             if trial is None:
                 continue
             result = extend(trial, k + 1)
@@ -542,15 +527,9 @@ def is_isomorphic(G: Group, H: Group):
                 return result
         return None
 
+    # closed under products, injective and defined on all of G: an isomorphism
     phi = extend({0: 0}, 0)
-    if phi is None:
-        return None
-    mapping = tuple(phi[g] for g in range(n))
-    for a in range(n):
-        for b in range(n):
-            if mapping[G.table[a][b]] != H.table[mapping[a]][mapping[b]]:
-                return None
-    return mapping
+    return None if phi is None else tuple(phi[g] for g in range(n))
 
 
 def abelian_invariants(G: Group) -> list[int]:

@@ -8,7 +8,7 @@ Multiplication is read left to right throughout the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "Letter",
@@ -76,16 +76,10 @@ def word_power(word: Word, exponent: int) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators plus free-reduced relator words.
-
-    ``involutions`` holds indices of generators declared order 2 (a relator
-    of the exact shape g^2); graph extraction also sets it for undirected
-    edge colors.
-    """
+    """Generators plus free-reduced relator words."""
 
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
-    involutions: frozenset[int] = field(default=frozenset())
 
     def __post_init__(self):
         if not self.generators:
@@ -111,14 +105,6 @@ class Presentation:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-
-def _derive_involutions(relators: tuple[Word, ...]) -> frozenset[int]:
-    invs = set()
-    for rel in relators:
-        if len(rel) == 2 and rel[0][0] == rel[1][0] and rel[0][1] == rel[1][1]:
-            invs.add(rel[0][0])
-    return frozenset(invs)
 
 
 class _Scanner:
@@ -178,6 +164,13 @@ class _Scanner:
 
 
 def _parse_word(sc: _Scanner, gen_index: dict[str, int], by_length: list[str]) -> Word:
+    try:
+        return _parse_factors(sc, gen_index, by_length)
+    except RecursionError:  # one stack frame per open parenthesis
+        raise ParseError("parentheses nested too deeply", sc.pos) from None
+
+
+def _parse_factors(sc: _Scanner, gen_index: dict[str, int], by_length: list[str]) -> Word:
     sc.skip_ws()
     start = sc.pos
     letters: list[Letter] = []
@@ -185,7 +178,7 @@ def _parse_word(sc: _Scanner, gen_index: dict[str, int], by_length: list[str]) -
         sc.skip_ws()
         if sc.pos < len(sc.text) and sc.text[sc.pos] == "(":
             sc.pos += 1
-            inner = _parse_word(sc, gen_index, by_length)
+            inner = _parse_factors(sc, gen_index, by_length)
             sc.expect(")")
             exp = sc.integer() if sc.try_char("^") else 1
             sc.spend(len(inner) * abs(exp))
@@ -262,8 +255,7 @@ def parse_presentation(text: str) -> Presentation:
     sc.expect(">")
     if not sc.at_end():
         raise ParseError("trailing input after '>'", sc.pos)
-    rels = tuple(relators)
-    return Presentation(tuple(gens), rels, _derive_involutions(rels))
+    return Presentation(tuple(gens), tuple(relators))
 
 
 def _run_lengths(word: Word):

@@ -40,7 +40,7 @@ def passed(n, text):
 
 
 def central_involution(G):
-    members = [z for z in center(G).members if z != 0 and G.order_of(z) == 2]
+    members = [z for z in center(G).members if z != 0 and G.element_orders()[z] == 2]
     assert len(members) == 1
     return subgroup_closure(G, members)
 

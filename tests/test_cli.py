@@ -310,6 +310,36 @@ def test_huge_power_fails_before_expanding(argv, position, capsys):
     assert (code, err) == (2, f"{message} (at position {position})\n")
 
 
+NESTED_WORD = "(" * 5000 + "a" + ")" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, text, message",
+    [
+        (["check-graph"], "[" * 100000, "error: invalid graph JSON: maximum recursion depth"),
+        (["enumerate", f"<a | {NESTED_WORD}>"], None, "error: parentheses nested too deeply"),
+        (["quotient", "--presentation", "<a | a^4>", "--normal", NESTED_WORD], None,
+         "error: parentheses nested too deeply"),
+    ],
+)
+def test_deeply_nested_input_is_a_usage_error(argv, text, message, tmp_path, capsys):
+    # each nesting level is a stack frame of the JSON decoder or the word parser
+    if text is not None:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    code, err = run_cli_err(argv, capsys)
+    assert code == 2
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+def test_duplicate_header_symbol_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    path.write_text("e a a\ne a a\na e a\na a e\n")
+    code, err = run_cli_err(["check-table", str(path)], capsys)
+    assert (code, err) == (2, "error: duplicate header symbol\n")
+
+
 ADDRESS_SPACE = 600 * 2**20
 
 

@@ -111,19 +111,24 @@ def test_self_loop_rejected():
         )
 
 
-def test_unmatched_node_rejected_unless_allowed():
+def test_unmatched_node_rejected():
     g = ColoredDigraph(4, (EdgeColor("blue", False, ((0, 1),)),))
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="node 2 is unmatched"):
         color_permutations(g)
-    perm = color_permutations(g, allow_fixed_points=True)[0]
-    assert perm == (1, 0, 2, 3)
 
 
 def test_identity_color_rejected():
-    g = ColoredDigraph(2, (EdgeColor("blue", False, ()),))
-    with pytest.raises(GraphError) as err:
-        color_permutations(g, allow_fixed_points=True)
-    assert "identity" in str(err.value)
+    # every color must move every node, so none can be the identity
+    for nodes, color, message in [
+        (1, {"directed": True, "edges": [[0, 0]]}, "self-loop at node 0"),
+        (1, {"directed": True, "edges": []}, "node 0 has no outgoing edge"),
+        (1, {"directed": False, "edges": []}, "node 0 is unmatched"),
+        (2, {"directed": False, "edges": []}, "node 0 is unmatched"),
+        (3, {"directed": False, "edges": [[0, 1]]}, "node 2 is unmatched"),
+    ]:
+        text = json.dumps({"nodes": nodes, "colors": [{"name": "c", **color}]})
+        with pytest.raises(GraphError, match=message):
+            is_cayley(load_graph_json(text))
 
 
 def test_colorless_graph_rejected():
@@ -514,11 +519,7 @@ def test_regular_table_refuses_open_relator_and_cap():
     perms = tuple(color_permutations(graph))
     presentation = extract_presentation(graph)
     # the generators' product is no relator: it moves every node of a regular graph
-    bad = Presentation(
-        presentation.generators,
-        presentation.relators + (((0, 1), (1, 1)),),
-        presentation.involutions,
-    )
+    bad = Presentation(presentation.generators, presentation.relators + (((0, 1), (1, 1)),))
     with pytest.raises(RuntimeError, match="does not close relator"):
         _regular_coset_table(bad, perms, 16)
     with pytest.raises(CapExceeded):

@@ -48,7 +48,7 @@ def klein():
 
 
 def central_involution(G):
-    members = [z for z in center(G).members if z and G.order_of(z) == 2]
+    members = [z for z in center(G).members if z and G.element_orders()[z] == 2]
     assert len(members) == 1
     return subgroup_closure(G, members)
 
@@ -329,13 +329,17 @@ def test_is_isomorphic_examples():
 
 
 def test_is_isomorphic_is_a_homomorphism():
-    G = families.semidihedral(8)
-    H = families.make(families.FamilySpec("sdp", (8, 3)))
-    phi = is_isomorphic(G, H)
-    assert phi is not None
-    for a in range(G.order):
-        for b in range(G.order):
-            assert phi[G.table[a][b]] == H.table[phi[a]][phi[b]]
+    # is_isomorphic returns its map closed under products with no final check
+    pairs = [(families.semidihedral(8), families.make(families.FamilySpec("sdp", (8, 3))))]
+    pairs += [(G, relabelled_group(G, seed)) for seed, G in enumerate(CATALOG) if G.order <= 32]
+    pairs += [(G, relabelled_group(G, 64)) for _, G in families.nonabelian_catalog(64)]
+    for G, H in pairs:
+        for A, B in ((G, H), (H, G)):
+            phi = is_isomorphic(A, B)
+            assert phi is not None and sorted(phi) == list(range(B.order))
+            for a in range(A.order):
+                for b in range(A.order):
+                    assert phi[A.table[a][b]] == B.table[phi[a]][phi[b]]
 
 
 def test_is_isomorphic_symmetry():
@@ -545,7 +549,7 @@ def oracle_abelian_invariants(G):
     factors = []
     H = G
     while H.order > 1:
-        orders = [H.order_of(g) for g in range(H.order)]
+        orders = [order_by_walk(H, g) for g in range(H.order)]
         m = max(orders)
         factors.append(m)
         H = quotient(H, subgroup_closure(H, (orders.index(m),)))
@@ -559,8 +563,17 @@ def oracle_centralizer_orders(G):
     )
 
 
+def order_by_walk(G, g):
+    """The order of g, by walking its powers until the identity."""
+    x, m = g, 1
+    while x != 0:
+        x = G.table[x][g]
+        m += 1
+    return m
+
+
 def assert_invariants_match_oracle(G):
-    orders = [G.order_of(g) for g in range(G.order)]
+    orders = [order_by_walk(G, g) for g in range(G.order)]
     abelian = oracle_is_abelian(G)
     assert G.is_abelian() == abelian
     assert center(G).members == oracle_center(G)
@@ -720,7 +733,7 @@ def assert_builders_match_oracle(table):
     assert G.inverse == tuple(row.index(0) for row in expected)
     columns = [[G.table[x][g] for x in range(G.order)] for _, g in G.generators]
     assert group_from_action(columns).table == oracle_table(columns) == G.table
-    assert list(G.element_orders()) == [G.order_of(g) for g in range(G.order)]
+    assert list(G.element_orders()) == [order_by_walk(G, g) for g in range(G.order)]
 
 
 def test_builders_match_definitions_on_catalog_and_large_groups():

@@ -227,7 +227,7 @@ def test_closure_cap():
 def test_generator_orders_divide_group_order():
     G = diquaternion_group(16)
     for _, el in G.generators:
-        assert G.order % G.order_of(el) == 0
+        assert G.order % G.element_orders()[el] == 0
 
 
 def test_diquaternion_structure():
@@ -270,7 +270,7 @@ def test_pauli_two_qubit_structure():
     hist = P2.order_histogram()
     assert P2.exponent() == 4
     assert hist[1] == 1
-    assert len([g for g in range(P2.order) if P2.order_of(g) == 2]) == hist[2]
+    assert len([g for g in range(1, P2.order) if P2.table[g][g] == 0]) == hist[2]
 
 
 def test_bad_closure_inputs():
