@@ -13,6 +13,19 @@ table fails the check, HLT goes on to the end.  Either way the returned table
 has passed one relator check, run column by column on the compacted table,
 which raises rather than asserts.
 
+A single-letter power relator x^e with e > 2 is scanned only from cosets not
+yet known to close it (for x^2, marking a 2-cycle costs what the one scan it
+saves costs).  A scan of x^e that leaves no coincidence pending proves that
+x^e closes on the whole x-cycle through its coset, so the cycle is marked and
+its other cosets skip the scan: it would be a closed walk that defines and
+merges nothing, so every table is the one a full scan gives.  The marks
+survive later coincidences, since coincidence processing keeps every live
+row's entries: a loop closed at c stays closed at rep(c).
+
+The relator check traces each run x^e of a relator as one power of x's
+column, built by repeated squaring and once per (letter, e) in a check, so a
+long power costs O(index log e) rather than e passes over the cosets.
+
 Coset 0 is the trivial subgroup's coset; a closed table's columns are
 permutations that realize the right-regular action of the presented group, so
 the row count is the group order.
@@ -21,8 +34,9 @@ the row count is the group order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
-from .groups import CapExceeded, Group, GroupError, group_from_action
+from .groups import MAX_TABLE_CELLS, CapExceeded, Group, GroupError, group_from_action
 from .words import Presentation, Word, format_word
 
 __all__ = [
@@ -53,16 +67,37 @@ class CosetTable:
 
     def open_relator(self) -> tuple[Word, int] | None:
         """The first relator that fails to close and the first coset where it
-        fails, or None.  Traces all cosets at once, one column per letter."""
+        fails, or None.  Traces all cosets at once, one column power per run
+        of one letter, each power built once per check."""
         start = list(range(self.num_cosets))
+        powers: dict[tuple[int, int, int], list[int] | tuple[int, ...]] = {}
         for rel in self.presentation.relators:
             k = start
-            for gen, sign in rel:
-                col = self.forward[gen] if sign > 0 else self.backward[gen]
-                k = [col[x] for x in k]
+            for (gen, sign), run in groupby(rel):
+                perm = self.forward[gen] if sign > 0 else self.backward[gen]
+                e = len(list(run))
+                if e > 1:
+                    key = gen, sign, e
+                    if key not in powers:
+                        powers[key] = _power(perm, e)
+                    perm = powers[key]
+                k = [perm[x] for x in k]
             if k != start:
                 return rel, next(x for x in start if k[x] != x)
         return None
+
+
+def _power(col: tuple[int, ...], e: int) -> list[int] | tuple[int, ...]:
+    """col applied e times, by repeated squaring: at most e - 1 passes over
+    the cosets, and correct for any map, not only a permutation."""
+    result, base = None, col
+    while True:
+        if e & 1:
+            result = base if result is None else [base[x] for x in result]
+        e >>= 1
+        if not e:
+            return result
+        base = [base[x] for x in base]
 
 
 class _Enumerator:
@@ -186,6 +221,17 @@ class _Enumerator:
             front = self.define(front, cols[i])
             i += 1
 
+    def mark_cycle(self, alpha: int, col: int, done: set[int]):
+        # a scan of x^e at alpha left no coincidence, so x^e closes at alpha
+        # and at every coset of alpha's x-cycle
+        table, parent = self.table, self.parent
+        k = alpha
+        while k not in done:
+            done.add(k)
+            k = table[k][col]
+            if parent[k] != k:
+                k = self.rep(k)
+
     def is_complete(self) -> bool:
         """True when no live row has an undefined entry."""
         table, parent = self.table, self.parent
@@ -198,15 +244,26 @@ class _Enumerator:
     def run(self) -> CosetTable:
         table, parent, queue = self.table, self.parent, self.queue
         early_check = True
+        # each relator's columns and, for a single-letter power x^e with
+        # e > 2, the cosets where its scan would be a closed walk (see the
+        # module docstring)
+        scans = []
+        for cols in self.relator_cols:
+            power = len(cols) > 2 and cols.count(cols[0]) == len(cols)
+            scans.append((cols, set() if power else None))
         alpha = 0
         while alpha < len(table):
             if parent[alpha] != alpha:
                 alpha += 1
                 continue
-            for cols in self.relator_cols:
+            for cols, done in scans:
+                if done is not None and alpha in done:
+                    continue
                 self.scan_and_fill(alpha, cols)
                 if queue:
                     self.process_coincidences()
+                elif done is not None:
+                    self.mark_cycle(alpha, cols[0], done)
                 if parent[alpha] != alpha:
                     break
             if parent[alpha] == alpha:
@@ -250,9 +307,16 @@ def todd_coxeter(
 ) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raise CapExceeded on overflow.
 
-    The returned table is checked: every relator closes at every coset."""
+    The returned table is checked: every relator closes at every coset.  The
+    cap may not exceed MAX_TABLE_CELLS // (2 * rank): a coset table with more
+    rows would hold more cells than a group table may."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
+    ceiling = MAX_TABLE_CELLS // (2 * presentation.rank)
+    if max_cosets > ceiling:
+        raise ValueError(
+            f"max_cosets must be at most {ceiling} for {presentation.rank} generators"
+        )
     return _Enumerator(presentation, max_cosets).run()
 
 

@@ -447,6 +447,13 @@ def _boolean(value, what: str) -> bool:
     return value
 
 
+def _string(value, what: str) -> str:
+    # a JSON string: str() would accept a list or an object, echoed in full later
+    if type(value) is not str:
+        raise GraphError(f"{what} must be a string, got {type(value).__name__}")
+    return value
+
+
 def load_graph_json(text: str) -> ColoredDigraph:
     try:
         data = json.loads(text)
@@ -465,7 +472,7 @@ def load_graph_json(text: str) -> ColoredDigraph:
         try:
             colors.append(
                 EdgeColor(
-                    str(entry["name"]),
+                    _string(entry["name"], "color name"),
                     _boolean(entry["directed"], '"directed"'),
                     tuple(
                         (_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
@@ -478,7 +485,7 @@ def load_graph_json(text: str) -> ColoredDigraph:
     return ColoredDigraph(
         nodes,
         tuple(colors),
-        tuple(str(x) for x in labels) if labels is not None else None,
+        tuple(_string(x, "label") for x in labels) if labels is not None else None,
     )
 
 

@@ -295,6 +295,15 @@ def test_max_cosets_env_below_one_is_usage_error(monkeypatch, capsys):
     assert (code, err) == (2, "error: max_cosets must be at least 1\n")
 
 
+def test_max_cosets_above_the_ceiling_is_usage_error(monkeypatch, capsys):
+    # Z^2 is infinite: a cap this large would run until memory ran out
+    argv = ["enumerate", "<a,b | a b a^-1 b^-1>"]
+    message = "error: max_cosets must be at most 4194304 for 2 generators\n"
+    assert run_cli_err([*argv, "--max-cosets=99999999999999"], capsys) == (2, message)
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "99999999999999")
+    assert run_cli_err(argv, capsys) == (2, message)
+
+
 @pytest.mark.parametrize(
     "argv, position",
     [
@@ -384,3 +393,24 @@ def test_largest_pauli_group_under_the_cap_builds():
     out = run_cli_limited(["make", "pauli", "5"])
     assert (out.returncode, out.stderr) == (0, "")
     assert "order: 4096\n" in out.stdout
+
+
+NESTED_LIST = "[" * 980 + "]" * 980
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ('{"nodes": 2, "colors": [{"name": %s, "directed": false, "edges": [[0, 1]]}]}'
+         % NESTED_LIST, "error: malformed color entry: color name must be a string, got list\n"),
+        ('{"nodes": 2, "labels": ["x", %s], "colors": []}' % NESTED_LIST,
+         "error: label must be a string, got list\n"),
+    ],
+    ids=["name", "label"],
+)
+def test_graph_name_that_is_not_a_string_is_a_usage_error(document, message, tmp_path):
+    # in a fresh interpreter, where 980 levels still decode
+    path = tmp_path / "graph.json"
+    path.write_text(document)
+    out = run_cli_limited(["check-graph", str(path)])
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", message)

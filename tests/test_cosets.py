@@ -120,6 +120,20 @@ def test_cap_exceeded_reports_count():
         enumerate_text("<s | s^2>", max_cosets=0)
 
 
+def test_cap_ceiling_keeps_the_default_up_to_rank_128():
+    # the ceiling is MAX_TABLE_CELLS // (2 * rank) = 2^24 // (2 * rank) cosets
+    def trivial(rank):
+        names = tuple(f"g{i}" for i in range(rank))
+        return Presentation(names, tuple(((i, 1),) for i in range(rank)))
+
+    assert todd_coxeter(trivial(128)).num_cosets == 1
+    with pytest.raises(ValueError, match="at most 65027 for 129 generators"):
+        todd_coxeter(trivial(129))
+    assert todd_coxeter(trivial(2), max_cosets=4194304).num_cosets == 1
+    with pytest.raises(ValueError, match="at most 4194304 for 2 generators"):
+        todd_coxeter(trivial(2), max_cosets=4194305)
+
+
 def test_heavy_coincidence_collapse():
     # every relator pair here forces massive coset merging
     cases = {
@@ -251,3 +265,159 @@ except RuntimeError as exc:
         capture_output=True, text=True, env=env, check=True,
     ).stdout
     assert out.startswith("coset table does not close relator")
+
+
+def reference_open_relator(table):
+    """The relator check with one pass over all cosets per letter: the
+    reference for the check that traces one column power per run."""
+    start = list(range(table.num_cosets))
+    for rel in table.presentation.relators:
+        k = start
+        for gen, sign in rel:
+            col = table.forward[gen] if sign > 0 else table.backward[gen]
+            k = [col[x] for x in k]
+        if k != start:
+            return rel, next(x for x in start if k[x] != x)
+    return None
+
+
+class ReferenceEnumerator(cosets._Enumerator):
+    """HLT that scans every relator at every live coset, with no skip of
+    single-letter powers, checked by reference_open_relator."""
+
+    def run(self):
+        table, parent, queue = self.table, self.parent, self.queue
+        early_check = True
+        alpha = 0
+        while alpha < len(table):
+            if parent[alpha] != alpha:
+                alpha += 1
+                continue
+            for cols in self.relator_cols:
+                self.scan_and_fill(alpha, cols)
+                if queue:
+                    self.process_coincidences()
+                if parent[alpha] != alpha:
+                    break
+            if parent[alpha] == alpha:
+                row = table[alpha]
+                for col in range(self.ncols):
+                    if row[col] is None:
+                        self.define(alpha, col)
+            alpha += 1
+            if early_check and self.is_complete():
+                early_check = False
+                closed = self._compact()
+                if reference_open_relator(closed) is None:
+                    return closed
+        closed = self._compact()
+        if reference_open_relator(closed) is not None:
+            raise RuntimeError("coset table does not close")
+        return closed
+
+
+def enumerate_or_count(enumerate_with, presentation, max_cosets):
+    """The closed table's columns, or the live-coset count of a cap hit."""
+    try:
+        table = enumerate_with(presentation, max_cosets)
+    except CapExceeded as exc:
+        return exc.cosets_defined
+    return table.forward, table.backward
+
+
+RANK_LETTERS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
+RELATORS = st.one_of(
+    # single-letter powers, long ones included
+    st.builds(lambda letter, e: [letter] * e, RANK_LETTERS, st.integers(1, 40)),
+    # proper powers (w)^k of a short word
+    st.builds(
+        lambda w, k: w * k, st.lists(RANK_LETTERS, min_size=2, max_size=3),
+        st.integers(2, 8),
+    ),
+    # the twist s r s^-1 = r^k, which collapses for most k
+    st.builds(
+        lambda k: [(1, 1), (0, 1), (1, -1)] + [(0, -1)] * k, st.integers(0, 12)
+    ),
+    st.lists(RANK_LETTERS, min_size=1, max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3), st.lists(RELATORS, min_size=1, max_size=4))
+def test_power_skip_and_run_check_leave_tables_unchanged(rank, words):
+    relators = tuple(
+        r
+        for r in (free_reduce(tuple((g % rank, s) for g, s in w)) for w in words)
+        if r
+    )
+    if not relators:
+        return
+    p = Presentation(("a", "b", "c")[:rank], relators)
+    expected = enumerate_or_count(
+        lambda q, cap: ReferenceEnumerator(q, cap).run(), p, 300
+    )
+    assert enumerate_or_count(todd_coxeter, p, 300) == expected
+
+
+CHECKED_PRESENTATIONS = [
+    "<r,s | r^{m}, s^2, s r s r>",
+    "<r,s | r^{m}, s^2 r^-{m}, s^-1 r s r>",
+    "<r,s | r^{m}, s^2, s r s r^-3>",
+    "<a,b | a^{m}, b^3, a b a^-1 b^-1>",
+    "<a,b | a^2, b^2, (a b)^{m}>",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CHECKED_PRESENTATIONS), st.integers(2, 40), st.integers(0, 3),
+    st.booleans(), st.data(),
+)
+def test_run_check_finds_the_same_failure_on_a_corrupted_column(
+    text, m, which, swap, data
+):
+    table = todd_coxeter(parse_presentation(text.format(m=m)))
+    n = table.num_cosets
+    columns = list(table.forward + table.backward)
+    which %= len(columns)
+    col = list(columns[which])
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1))
+    if swap:  # still a permutation, no longer the other column's inverse
+        col[i], col[j] = col[j], col[i]
+    else:  # a map that is not a permutation unless j == col[i]
+        col[i] = j
+    columns[which] = tuple(col)
+    rank = len(table.forward)
+    corrupted = cosets.CosetTable(
+        table.presentation, tuple(columns[:rank]), tuple(columns[rank:]), n
+    )
+    assert corrupted.open_relator() == reference_open_relator(corrupted)
+
+
+def test_single_letter_power_is_scanned_once_per_cycle(monkeypatch):
+    # the scan of r^50 at coset 0 closes the r-cycle through it; the early
+    # stop comes before any coset of the other r-cycle is reached
+    scans = []
+    scan_and_fill = cosets._Enumerator.scan_and_fill
+
+    def spy(self, alpha, cols):
+        if len(cols) == 50:
+            scans.append(alpha)
+        return scan_and_fill(self, alpha, cols)
+
+    monkeypatch.setattr(cosets._Enumerator, "scan_and_fill", spy)
+    assert enumerate_text("<r,s | r^50, s^2, s r s r>").num_cosets == 100
+    assert scans == [0]
+
+
+def test_corruption_inside_a_long_run_is_found_where_the_reference_finds_it():
+    table = todd_coxeter(parse_presentation("<r,s | r^60, s^2, s r s r>"))
+    r = list(table.forward[0])
+    r[7], r[8] = r[8], r[7]
+    corrupted = cosets.CosetTable(
+        table.presentation, (tuple(r),) + table.forward[1:], table.backward, 120
+    )
+    failure = corrupted.open_relator()
+    assert failure is not None and failure == reference_open_relator(corrupted)
+    assert failure[0] == ((0, 1),) * 60

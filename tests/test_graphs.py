@@ -301,6 +301,12 @@ def test_graph_json_errors():
         load_graph_json('{"nodes": 2}')
     with pytest.raises(GraphError):
         load_graph_json('{"nodes": 2, "colors": [{"name": "red"}]}')
+    edge = '"directed": false, "edges": [[0, 1]]'
+    for name in ("1", "null", "true", '["red"]', '{"red": 1}'):
+        with pytest.raises(GraphError, match="color name must be a string"):
+            load_graph_json('{"nodes": 2, "colors": [{"name": %s, %s}]}' % (name, edge))
+    with pytest.raises(GraphError, match="label must be a string, got int"):
+        load_graph_json('{"nodes": 2, "labels": ["x", 1], "colors": [{"name": "r", %s}]}' % edge)
 
 
 def test_export_dot_counts():
