@@ -132,7 +132,7 @@ def _graph_report(name: str | None, analysis: graphs.GraphReport) -> dict:
         "nodes": len(verdict.color_perms[0]),
         "colors": [c for c in analysis.presentation.generators],
         "connected": verdict.connected,
-        "transitive": verdict.transitive,
+        "transitive": verdict.connected,
         "perm_group_order": verdict.perm_group_order,
         "perm_group_order_exceeds_nodes": verdict.order_exceeds_nodes,
         "perm_group_order_capped": verdict.order_capped,
@@ -140,11 +140,7 @@ def _graph_report(name: str | None, analysis: graphs.GraphReport) -> dict:
         "presentation": format_presentation(analysis.presentation),
         "presented_order": analysis.presented_order,
         "presented_group": analysis.presented_name,
-        "acting_group": (
-            analysis.acting_identification.describe()
-            if analysis.acting_identification
-            else None
-        ),
+        "acting_group": analysis.presented_name if verdict.is_cayley else None,
         "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
     }
     if name is not None:
@@ -413,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full-order",
         action="store_true",
-        help="report the exact permutation-group order (capped at 10^6)",
+        help="report the exact permutation-group order (capped at 10^6 "
+        "elements; exit 3 past 2^24 stored node images)",
     )
     add_common(p)
     p.set_defaults(handler=cmd_check_graph)

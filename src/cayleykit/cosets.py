@@ -36,7 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 
-from .groups import MAX_TABLE_CELLS, CapExceeded, Group, GroupError, group_from_action
+from .groups import (
+    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _spanning_tree, group_from_action
+)
 from .words import Presentation, Word, format_word
 
 __all__ = [
@@ -331,31 +333,26 @@ def group_from_coset_table(table: CosetTable) -> Group:
     """
     n = table.num_cosets
     names = table.presentation.generators
-    order_of = [-1] * n  # old coset -> new element index
-    bfs: list[int] = [0]
-    order_of[0] = 0
+    tree = _spanning_tree(table.forward)
+    if len(tree) != n - 1:
+        raise GroupError(f"coset table is not transitive: {len(tree) + 1} of {n} reached")
+    bfs = [0] + [x for x, _, _ in tree]
+    order_of = [0] * n  # old coset -> new element index
+    for i, old in enumerate(bfs):
+        order_of[old] = i
     labels = ["1"]
     stems = [""]  # label up to the last run, with its "*"
     runs = [(-1, 0)]  # last run of the BFS word: (generator, exponent)
-    head = 0
-    while head < len(bfs):
-        old = bfs[head]
-        for g, col in enumerate(table.forward):
-            nxt = col[old]
-            if order_of[nxt] < 0:
-                order_of[nxt] = len(bfs)
-                bfs.append(nxt)
-                last, exp = runs[head]
-                if last == g:
-                    stem, exp = stems[head], exp + 1
-                else:
-                    stem, exp = (labels[head] + "*" if head else ""), 1
-                stems.append(stem)
-                runs.append((g, exp))
-                labels.append(stem + names[g] if exp == 1 else f"{stem}{names[g]}^{exp}")
-        head += 1
-    if len(bfs) != n:
-        raise GroupError(f"coset table is not transitive: {len(bfs)} of {n} reached")
+    for _, parent, g in tree:
+        head = order_of[parent]
+        last, exp = runs[head]
+        if last == g:
+            stem, exp = stems[head], exp + 1
+        else:
+            stem, exp = (labels[head] + "*" if head else ""), 1
+        stems.append(stem)
+        runs.append((g, exp))
+        labels.append(stem + names[g] if exp == 1 else f"{stem}{names[g]}^{exp}")
 
     succ = [[order_of[col[old]] for old in bfs] for col in table.forward]
     generators = tuple((name, succ[g][0]) for g, name in enumerate(names))

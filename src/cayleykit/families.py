@@ -251,28 +251,40 @@ def _invariant_factor_lists(n: int) -> list[list[int]]:
     return out
 
 
+def _product_bases(order: int) -> list[tuple[str, Group]]:
+    """The plain entries of one order that start direct products, except D_k
+    for k = 2 (mod 4) and C_3xD_3: as D_k = D_{k/2} x C_2 and C_3xD_3 =
+    D_3 x C_3, their products are listed earlier, on base D_{k/2} or D_3."""
+    split = {"C_3xD_3", f"D_{order // 2}" if order % 8 == 4 else ""}
+    return [entry for entry in _plain_nonabelian(order) if entry[0] not in split]
+
+
 @lru_cache(maxsize=None)
 def nonabelian_catalog(order: int) -> tuple[tuple[str, Group], ...]:
     """Named non-abelian candidates of one order, plain families first, then
-    direct products of catalog members; used by identify."""
+    direct products of catalog members; used by identify.  Each group is
+    listed once, and two bases of one order are paired once."""
     if order > 64:
         return ()
     entries = list(_plain_nonabelian(order))
     for d in range(6, order):
         if order % d:
             continue
-        bases = _plain_nonabelian(d)
+        bases = _product_bases(d)
+        # D_m x C_2 is plain D_2m for m odd, and D_3 x C_3 is plain C_3xD_3
+        plain = {"D_3xC_3", f"D_{d // 2}xC_2" if d % 4 == 2 else ""}
         cofactor = order // d
         if cofactor > 1:
             for factors in _invariant_factor_lists(cofactor):
                 aname = abelian_name(sorted(factors, reverse=True))
                 for bname, base in bases:
-                    entries.append((f"{bname}x{aname}", direct_product(base, abelian(factors))))
+                    if f"{bname}x{aname}" not in plain:
+                        entries.append((f"{bname}x{aname}", direct_product(base, abelian(factors))))
         for d2 in range(6, cofactor + 1):
             if d2 * d != order or d2 < d:
                 continue
-            for b2name, base2 in _plain_nonabelian(d2):
-                for bname, base in bases:
+            for j, (b2name, base2) in enumerate(_product_bases(d2)):
+                for bname, base in bases[j:] if d2 == d else bases:
                     entries.append((f"{bname}x{b2name}", direct_product(base, base2)))
     return tuple(entries)
 

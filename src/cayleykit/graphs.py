@@ -2,8 +2,11 @@
 
 A candidate graph has one permutation per color (directed colors are node
 successions, undirected colors are perfect matchings).  The graph is a Cayley
-graph iff it is connected and the color permutations generate a group whose
-order equals the node count (the regular-action criterion).  Either way the
+graph iff it is connected and the color permutations generate a group acting
+regularly on the nodes.  A connected graph's action is regular iff each
+generator's left multiplication, built along a BFS tree, commutes with every
+color; only a disconnected graph, or ``full_order``, lists the group's
+elements, up to ``MAX_TABLE_CELLS`` node images in all.  Either way the
 graph's loops present a group, which is identified.  A Cayley graph's color
 permutations are the closed coset table of that presentation, so its group
 is read from the graph; only a non-Cayley graph's loops are enumerated by
@@ -19,7 +22,8 @@ from operator import itemgetter
 
 from . import cosets
 from .groups import (
-    CapExceeded, Group, Identification, group_from_action, identify, subgroup_closure
+    MAX_TABLE_CELLS, CapExceeded, Group, Identification, _left_multiplications,
+    _spanning_tree, identify, subgroup_closure,
 )
 from .words import Presentation, Word, format_word, inverse_word
 
@@ -145,34 +149,24 @@ def color_permutations(graph: ColoredDigraph) -> list[tuple[int, ...]]:
     return perms
 
 
-def _pmul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # diagrammatic order: apply p, then q
-    return tuple(q[x] for x in p)
-
-
-def _orbit_of_zero(perms) -> set[int]:
-    seen = {0}
-    queue = [0]
-    while queue:
-        x = queue.pop()
-        for p in perms:
-            y = p[x]
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
 def _closure(perms, limit: int) -> int | None:
-    """Order of the group the permutations generate, or None past the limit."""
+    """Order of the group the permutations generate, or None past the limit;
+    raises CapExceeded before the elements kept pass MAX_TABLE_CELLS images."""
     n = len(perms[0])
     ident = tuple(range(n))
     elements = [ident]
     seen = {ident}
     for current in elements:  # a BFS queue, appended to while walked
+        then = itemgetter(*current)  # then(p): apply current, then p
         for p in perms:
-            q = _pmul(current, p)
+            q = then(p)
             if q not in seen:
+                if (len(elements) + 1) * n > MAX_TABLE_CELLS:
+                    raise CapExceeded(
+                        f"closure cap {MAX_TABLE_CELLS} cells exceeded "
+                        f"({len(elements)} permutations of {n} nodes)",
+                        len(elements),
+                    )
                 seen.add(q)
                 elements.append(q)
                 if len(elements) > limit:
@@ -180,40 +174,33 @@ def _closure(perms, limit: int) -> int | None:
     return len(elements)
 
 
-def _acts_regularly(perms) -> bool:
-    """Whether the transitive group the permutations generate acts regularly.
+def _centralised_by_left_multiplications(perms, tree) -> bool:
+    """Whether each generator's left multiplication along the spanning tree
+    commutes with every colour: L(x.p) == L(x).p for all nodes x and colours p.
 
-    Node v's map is the product of the generators along the BFS tree from
-    node 0, so it sends 0 to v.  The maps of u.p and of u, then p, both send
-    0 to u.p; they differ exactly when the Schreier generator they give of
-    the stabiliser of node 0 is not trivial."""
-    n = len(perms[0])
-    maps: list[tuple[int, ...] | None] = [None] * n
-    maps[0] = tuple(range(n))
-    queue = [0]
-    for u in queue:  # a BFS queue, appended to while walked
-        then = itemgetter(*maps[u])  # then(p)[x] = p[maps[u][x]]
-        for p in perms:
-            v = p[u]
-            image = then(p)
-            if maps[v] is None:
-                maps[v] = image
-                queue.append(v)
-            elif maps[v] != image:
-                return False
+    A map that commutes with a transitive group is onto, so a permutation in
+    its centraliser in Sym(n).  These maps send node 0 to 0.s for each
+    generator s, so they generate a transitive subgroup of the centraliser.
+    A g fixing node 0 then fixes every node c(0) with c in it, as c(0).g =
+    c(0.g) = c(0), so g = 1 and the action is regular.  Conversely a regular
+    action's left multiplications commute with its right ones (Dixon &
+    Mortimer, Permutation Groups, Thm 4.2A)."""
+    after = [itemgetter(*p) for p in perms]  # after[i](left)[x] = left[p_i[x]]
+    for left in _left_multiplications(perms, tree):
+        then = itemgetter(*left)  # then(p)[x] = p[left[x]]
+        if any(a(left) != then(p) for a, p in zip(after, perms)):
+            return False
     return True
 
 
 @dataclass(frozen=True)
 class GraphVerdict:
     connected: bool
-    transitive: bool
     color_perms: tuple[tuple[int, ...], ...]
     perm_group_order: int | None  # None when only a lower bound is known
     order_exceeds_nodes: bool
     order_capped: bool
     is_cayley: bool
-    acting_group: Group | None
 
 
 def is_cayley(
@@ -225,41 +212,24 @@ def is_cayley(
 
     A transitive group has order n times the size of a point stabiliser, so
     without ``full_order`` a connected graph needs no closure: its order is n
-    when the action is regular and past n otherwise."""
+    when the generators' left multiplications commute with every colour (the
+    action is regular), an O(n k^2) check for k colours, and past n otherwise."""
     perms = color_permutations(graph)
     n = graph.node_count
-    connected = len(_orbit_of_zero(perms)) == n
+    tree = _spanning_tree(perms)
+    connected = len(tree) == n - 1
     if connected and not full_order:
-        order = n if _acts_regularly(perms) else None
+        order = n if _centralised_by_left_multiplications(perms, tree) else None
     else:
         order = _closure(perms, order_cap if full_order else n)
-    exceeded = order is None
-    regular = connected and order == n
-    acting = _group_from_regular_action(graph, perms) if regular else None
     return GraphVerdict(
         connected=connected,
-        transitive=connected,
         color_perms=tuple(perms),
         perm_group_order=order,
-        order_exceeds_nodes=exceeded or (order is not None and order > n),
-        order_capped=full_order and exceeded,
-        is_cayley=regular,
-        acting_group=acting,
+        order_exceeds_nodes=order is None or order > n,
+        order_capped=full_order and order is None,
+        is_cayley=connected and order == n,
     )
-
-
-def _group_from_regular_action(graph: ColoredDigraph, perms) -> Group:
-    # regular: node j is the unique element sending node 0 to j, and the
-    # colour permutation for s is right multiplication by s, so s is node 0.s
-    names = tuple(graph.label_of(i) for i in range(graph.node_count))
-    gens = []
-    seen = set()
-    for color, perm in zip(graph.colors, perms):
-        el = perm[0]
-        if el != 0 and el not in seen:
-            gens.append((color.name, el))
-            seen.add(el)
-    return group_from_action(perms, element_names=names, generators=tuple(gens))
 
 
 def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
@@ -298,8 +268,6 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     the relators (one per non-tree edge, plus c^2 per undirected color)."""
     perms = color_permutations(graph)
     n = graph.node_count
-    if len(_orbit_of_zero(perms)) != n:
-        raise GraphError("graph is not connected")
     inv_perms = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
 
     words: list = [None] * n
@@ -314,6 +282,8 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
                 if words[v] is None:
                     words[v] = words[u] + ((ci, sign),)
                     queue.append(v)
+    if len(queue) != n:
+        raise GraphError("graph is not connected")
 
     # Edge u -> v = u.c is a tree edge iff v's word ends in c or u's word in
     # c^-1 (in c, for an undirected colour).  So a loop through any other edge
@@ -341,7 +311,6 @@ class GraphReport:
     presentation: Presentation
     presented_group: Group
     presented_identification: Identification
-    acting_identification: Identification | None
 
     @property
     def is_cayley(self) -> bool:
@@ -395,25 +364,22 @@ def analyze(
     full_order: bool = False,
     max_cosets: int = cosets.DEFAULT_MAX_COSETS,
 ) -> GraphReport:
-    """Invariants -> regularity verdict -> presentation -> coset table -> names.
+    """Invariants -> presentation -> regularity verdict -> coset table -> names.
 
-    A Cayley graph is its own coset table; only a non-Cayley graph's loops
-    are enumerated."""
-    verdict = is_cayley(graph, full_order=full_order)
+    A disconnected graph is refused before any closure runs.  A Cayley graph
+    is its own coset table; only a non-Cayley graph's loops are enumerated."""
     presentation = extract_presentation(graph, base)
+    verdict = is_cayley(graph, full_order=full_order)
     if verdict.is_cayley:
         table = _regular_coset_table(presentation, verdict.color_perms, max_cosets)
     else:
         table = cosets.todd_coxeter(presentation, max_cosets)
     presented = cosets.group_from_coset_table(table)
-    presented_id = identify(presented)
     return GraphReport(
         verdict=verdict,
         presentation=presentation,
         presented_group=presented,
-        presented_identification=presented_id,
-        # a regular action's group is isomorphic to the presented group
-        acting_identification=presented_id if verdict.is_cayley else None,
+        presented_identification=identify(presented),
     )
 
 

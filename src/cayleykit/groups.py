@@ -193,21 +193,13 @@ def check_table_cells(order: int):
         )
 
 
-def group_from_action(columns, element_names=None, generators=()) -> Group:
-    """The group acting regularly on points 0..n-1, with point 0 as identity.
-
-    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives the
-    tree x = parent(x) * s(x).  Along it, generator s's left multiplication
-    follows from L_s(y * g) = L_s(y) * g, each row from its parent's:
-    row(y * s)[x] = row(y)[L_s(x)], and each inverse from its parent's:
-    (y * s)^-1 = s^-1 * y^-1.  Raises GroupError unless every point is
-    reached, CapExceeded if the table would exceed MAX_TABLE_CELLS.
-    """
+def _spanning_tree(columns) -> list[tuple[int, int, int]]:
+    """(x, parent, k) with x = parent * generator k, for each point x != 0
+    that a BFS from 0 reaches, in BFS order."""
     n = len(columns[0])
-    check_table_cells(n)
     seen = [True] + [False] * (n - 1)
     reached = [0]
-    tree = []  # (x, parent, k) with x = parent * generator k, in BFS order
+    tree = []
     for y in reached:  # a BFS queue, appended to while walked
         for k, col in enumerate(columns):
             z = col[y]
@@ -215,14 +207,36 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
                 seen[z] = True
                 reached.append(z)
                 tree.append((z, y, k))
-    if len(reached) != n:
-        raise GroupError(f"action is not transitive: {len(reached)} of {n} reached")
-    getters = []
+    return tree
+
+
+def _left_multiplications(columns, tree) -> list[list[int]]:
+    """Each generator's map x -> (0 * s) * x, from L_s(y * g) = L_s(y) * g."""
+    maps = []
     for col in columns:
-        left = [col[0]] * n  # left[x] = (0 * s) * x
+        left = [col[0]] * len(col)
         for x, y, k in tree:
             left[x] = columns[k][left[y]]
-        getters.append(itemgetter(*left))
+        maps.append(left)
+    return maps
+
+
+def group_from_action(columns, element_names=None, generators=()) -> Group:
+    """The group acting regularly on points 0..n-1, with point 0 as identity.
+
+    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives the
+    tree x = parent(x) * s(x).  Along it, each row follows from its parent's
+    and a generator's left multiplication: row(y * s)[x] = row(y)[L_s(x)],
+    and each inverse from its parent's: (y * s)^-1 = s^-1 * y^-1.  Raises
+    GroupError unless every point is reached, CapExceeded if the table would
+    exceed MAX_TABLE_CELLS.
+    """
+    n = len(columns[0])
+    check_table_cells(n)
+    tree = _spanning_tree(columns)
+    if len(tree) != n - 1:
+        raise GroupError(f"action is not transitive: {len(tree) + 1} of {n} reached")
+    getters = [itemgetter(*left) for left in _left_multiplications(columns, tree)]
     rows: list[tuple[int, ...]] = [()] * n
     rows[0] = tuple(range(n))
     for x, y, k in tree:

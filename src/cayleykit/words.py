@@ -268,24 +268,22 @@ def _run_lengths(word: Word):
     return runs
 
 
+def _factors(word: Word, generators: tuple[str, ...]) -> list[str]:
+    """Each run of a word as g or g^e; the empty word is the one factor 1."""
+    return [
+        generators[gen] if exp == 1 else f"{generators[gen]}^{exp}"
+        for gen, exp in _run_lengths(word)
+    ] or ["1"]
+
+
 def format_word(word: Word, generators: tuple[str, ...]) -> str:
     """Grammar-compatible rendering, factors separated by spaces."""
-    if not word:
-        return "1"
-    parts = []
-    for gen, exp in _run_lengths(word):
-        parts.append(generators[gen] if exp == 1 else f"{generators[gen]}^{exp}")
-    return " ".join(parts)
+    return " ".join(_factors(word, generators))
 
 
 def label_word(word: Word, generators: tuple[str, ...]) -> str:
     """Whitespace-free rendering for element labels and table headers."""
-    if not word:
-        return "1"
-    parts = []
-    for gen, exp in _run_lengths(word):
-        parts.append(generators[gen] if exp == 1 else f"{generators[gen]}^{exp}")
-    return "*".join(parts)
+    return "*".join(_factors(word, generators))
 
 
 def format_presentation(p: Presentation) -> str:

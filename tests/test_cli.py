@@ -10,6 +10,7 @@ Regenerate the golden outputs with:  GOLDEN_UPDATE=1 pytest tests/test_cli.py
 import json
 import os
 import pathlib
+import random
 import resource
 import subprocess
 import sys
@@ -393,6 +394,25 @@ def test_largest_pauli_group_under_the_cap_builds():
     out = run_cli_limited(["make", "pauli", "5"])
     assert (out.returncode, out.stderr) == (0, "")
     assert "order: 4096\n" in out.stdout
+
+
+def test_full_order_closure_cap_exits_before_allocating(tmp_path):
+    # an n-cycle and a random perfect matching generate a group far past the
+    # closure's cell cap: 83,886 permutations of 200 nodes fill it
+    n = 200
+    nodes = list(range(n))
+    random.Random(200).shuffle(nodes)
+    graph = {"nodes": n, "colors": [
+        {"name": "r", "directed": True, "edges": [[i, (i + 1) % n] for i in range(n)]},
+        {"name": "s", "directed": False,
+         "edges": [[nodes[i], nodes[i + 1]] for i in range(0, n, 2)]},
+    ]}
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    out = run_cli_limited(["check-graph", str(path), "--full-order"])
+    assert (out.returncode, out.stdout) == (3, "")
+    assert out.stderr.startswith("cap exceeded: closure cap 16777216 cells exceeded")
+    assert out.stderr.count("\n") == 1
 
 
 NESTED_LIST = "[" * 980 + "]" * 980

@@ -138,3 +138,16 @@ def test_catalog_has_expected_members():
     assert {"D_16", "SD_16", "SA_16", "Q_32", "DQ_16"} <= names
     names16 = {name for name, _ in families.nonabelian_catalog(16)}
     assert {"D_8", "SD_8", "SA_8", "Q_16", "DQ_8", "D_4xC_2", "Q_8xC_2"} <= names16
+
+
+def test_catalog_lists_each_group_once():
+    # D_6 = D_3xC_2, C_3xD_3 = D_3xC_3 and Q_8xD_4 = D_4xQ_8 appear once each
+    total = 0
+    for order in range(1, 65):
+        entries = families.nonabelian_catalog(order)
+        total += len(entries)
+        for i, (name, G) in enumerate(entries):
+            for earlier, H in entries[:i]:
+                if G.fingerprint() == H.fingerprint():
+                    assert is_isomorphic(G, H) is None, (earlier, name)
+    assert total == 120

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit import families
+from cayleykit.cli import _graph_report
 from cayleykit.cosets import group_from_coset_table, group_from_presentation, todd_coxeter
 from cayleykit.graphs import (
     _closure,
-    _orbit_of_zero,
     _regular_coset_table,
     ColoredDigraph,
     EdgeColor,
@@ -24,7 +24,7 @@ from cayleykit.graphs import (
     is_cayley,
     load_graph_json,
 )
-from cayleykit.groups import CapExceeded, identify, is_isomorphic
+from cayleykit.groups import CapExceeded, group_from_action, identify, is_isomorphic
 from cayleykit.words import Presentation, free_reduce
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -154,7 +154,7 @@ def test_round_trip_is_cayley():
         verdict = is_cayley(g)
         assert verdict.is_cayley
         assert verdict.perm_group_order == G.order
-        assert is_isomorphic(verdict.acting_group, G) is not None
+        assert is_isomorphic(group_from_action(verdict.color_perms), G) is not None
 
 
 def test_petersen_is_not_cayley():
@@ -200,6 +200,16 @@ def test_extract_requires_connected():
         extract_presentation(ColoredDigraph(4, (red,)))
 
 
+def test_analyze_refuses_a_disconnected_graph_before_its_closure(monkeypatch):
+    def closure(perms, limit):
+        raise AssertionError("closure ran")
+
+    monkeypatch.setattr("cayleykit.graphs._closure", closure)
+    red = EdgeColor("red", True, ((0, 1), (1, 0), (2, 3), (3, 2)))
+    with pytest.raises(GraphError, match="not connected"):
+        analyze(ColoredDigraph(4, (red,)), full_order=True)
+
+
 @pytest.mark.parametrize("name", ["petersen", "mirror16", "flower16_rev"])
 def test_presented_group_base_independent(name):
     g = fixture(name)
@@ -229,11 +239,9 @@ def test_sabidussi_consistency(name):
     nodes = fixture(name).node_count
     if report.is_cayley:
         assert report.presented_order == nodes
-        assert (
-            is_isomorphic(report.presented_group, report.verdict.acting_group)
-            is not None
-        )
-        assert report.verdict.transitive
+        acting = group_from_action(report.verdict.color_perms)
+        assert is_isomorphic(report.presented_group, acting) is not None
+        assert report.verdict.connected
     else:
         assert report.presented_order < nodes
 
@@ -376,7 +384,8 @@ def test_mirror_phase_flips_give_diquaternion_graphs():
     report = analyze(flipped16)
     assert report.is_cayley
     assert report.presented_name == "DQ_8"
-    assert is_isomorphic(report.verdict.acting_group, families.diquaternion(8)) is not None
+    acting = group_from_action(report.verdict.color_perms)
+    assert is_isomorphic(acting, families.diquaternion(8)) is not None
     assert pairwise_product_orders(flipped16) == [4, 4, 4]
 
     flipped32 = mirror_variant(16, 9, outer_starts_blue=False, inner_starts_blue=False)
@@ -482,7 +491,7 @@ def test_loop_relators_are_reduced_and_distinct_as_built():
     graphs = [fixture(name) for name in sorted(ORACLE)]
     graphs += [graph for _, graph in CATALOG_GRAPHS]
     for graph in graphs:
-        if len(_orbit_of_zero(color_permutations(graph))) != graph.node_count:
+        if len(orbit_of_zero(color_permutations(graph))) != graph.node_count:
             continue
         n = graph.node_count
         edges = sum(len(color.edges) for color in graph.colors)
@@ -494,16 +503,34 @@ def test_loop_relators_are_reduced_and_distinct_as_built():
 
 
 def test_acting_group_is_named_as_the_presented_group():
-    graphs = [fixture(name) for name in sorted(ORACLE)]
-    graphs += [graph for _, graph in CATALOG_GRAPHS]
-    for graph in graphs:
+    # the report names a Cayley graph's acting group by its presented group;
+    # built from the colours, the acting group must get the same name
+    for graph in [fixture(name) for name in sorted(ORACLE)] + [g for _, g in CATALOG_GRAPHS]:
         report = analyze(graph)
-        acting = report.verdict.acting_group
+        named = _graph_report(None, report)["acting_group"]
         if report.is_cayley:
-            assert report.acting_identification == identify(acting)
-            assert report.acting_identification is report.presented_identification
+            acting = group_from_action(report.verdict.color_perms)
+            assert identify(acting) == report.presented_identification
+            assert named == identify(acting).describe()
         else:
-            assert acting is None and report.acting_identification is None
+            assert named is None
+
+
+def test_analyze_builds_one_group_per_cayley_graph(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return group_from_action(*args, **kwargs)
+
+    for graph in (fixture("mirror32"), build_cayley_graph(families.dihedral(12))):
+        analyze(graph)  # builds the catalog of the graph's order
+        with monkeypatch.context() as mp:
+            for module in ("cosets", "graphs", "groups"):
+                mp.setattr(f"cayleykit.{module}.group_from_action", counted, raising=False)
+            calls.clear()
+            assert analyze(graph).is_cayley
+        assert len(calls) == 1
 
 
 def test_non_cayley_graphs_are_enumerated(monkeypatch):
@@ -537,12 +564,26 @@ def test_regular_table_refuses_open_relator_and_cap():
 # --- the regularity verdict against the closure ----------------------------------
 
 
+def orbit_of_zero(perms):
+    """The nodes the permutations reach from node 0."""
+    seen = {0}
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        for p in perms:
+            y = p[x]
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def closure_verdict(graph):
     """(order, exceeds, capped, is_cayley) as the permutation closure gives them."""
     perms = color_permutations(graph)
     n = graph.node_count
     order = _closure(perms, n)
-    return order, order is None or order > n, False, len(_orbit_of_zero(perms)) == n == order
+    return order, order is None or order > n, False, len(orbit_of_zero(perms)) == n == order
 
 
 def verdict_fields(graph):
@@ -573,14 +614,24 @@ def derangements(n):
     return st.permutations(range(n)).filter(lambda p: all(p[x] != x for x in range(n)))
 
 
+def matchings(n):
+    """Perfect matchings of n nodes (n even), as edge lists."""
+    return st.permutations(range(n)).map(
+        lambda p: tuple((p[i], p[i + 1]) for i in range(0, n, 2))
+    )
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_regularity_verdict_matches_closure_on_random_permutations(data):
     n = data.draw(st.integers(2, 9))
     k = data.draw(st.integers(1, 3))
-    colors = tuple(
-        EdgeColor(f"c{i}", True, tuple(enumerate(data.draw(derangements(n)))))
-        for i in range(k)
-    )
-    graph = ColoredDigraph(n, colors)
+    colors = []
+    for i in range(k):
+        # an undirected colour is a fixed-point-free involution
+        if n % 2 == 0 and data.draw(st.booleans()):
+            colors.append(EdgeColor(f"c{i}", False, data.draw(matchings(n))))
+        else:
+            colors.append(EdgeColor(f"c{i}", True, tuple(enumerate(data.draw(derangements(n))))))
+    graph = ColoredDigraph(n, tuple(colors))
     assert verdict_fields(graph) == closure_verdict(graph)

@@ -134,7 +134,7 @@ def test_trusted_constructors_build_groups():
     D12 = families.dihedral(12)
     built.append(subgroup_closure(D12, (D12.generators[0][1],)).as_group())
     report = graphs.analyze(graphs.fixture("mirror32"))
-    built += [report.presented_group, report.verdict.acting_group]
+    built += [report.presented_group, group_from_action(report.verdict.color_perms)]
     for G in built:
         assert Group(G.table).order == G.order
 
@@ -391,17 +391,11 @@ def test_identify_unmatched_reports_fingerprint():
 
 
 def test_identify_round_trip_over_catalog():
-    # names can alias (D_6 and D_3xC_2 are the same group), so check that
-    # the returned name points back to an isomorphic catalog member
+    # the catalog lists each group once, so identify gives back its own name
     rng = random.Random(11)
     members = list(families.catalog_groups(24))
-    by_name: dict = {}
-    for name, G in members:
-        by_name.setdefault(name, G)
     for name, G in rng.sample(members, 12):
-        ident = identify(G)
-        assert ident.name is not None
-        assert is_isomorphic(by_name[ident.name], G) is not None
+        assert identify(G).name == name
 
 
 def relabelled_group(G, seed):
