@@ -7,6 +7,8 @@ schema-versioned JSON document with --json; identify-style commands accept
 
 Exit codes: 0 success, 2 parse/usage error, 3 enumeration, closure or table
 cap exceeded, 4 --expect mismatch.
+
+Each handler imports the layers it uses, so a run loads only those.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import sys
 import time
 from importlib import resources
 
-from . import cosets, families, graphs, tables
 from .groups import CapExceeded, Group, identify, normal_closure, quotient as group_quotient
 from .words import (
     ParseError,
@@ -46,7 +47,8 @@ class ExpectMismatch(Exception):
 def default_max_cosets() -> int:
     value = os.environ.get("CAYLEY_MAX_COSETS")
     if value is None:
-        return cosets.DEFAULT_MAX_COSETS
+        from .cosets import DEFAULT_MAX_COSETS
+        return DEFAULT_MAX_COSETS
     try:
         return int(value)
     except ValueError:
@@ -73,6 +75,7 @@ def group_report(G: Group) -> dict:
 
 
 def cmd_enumerate(args) -> tuple[dict, list[str]]:
+    from . import cosets
     presentation = parse_presentation(args.presentation)
     cap = default_max_cosets() if args.max_cosets is None else args.max_cosets
     table = cosets.todd_coxeter(presentation, cap)
@@ -93,10 +96,12 @@ def cmd_enumerate(args) -> tuple[dict, list[str]]:
 
 def cmd_identify(args) -> tuple[dict, list[str]]:
     if args.presentation:
+        from . import cosets
         presentation = parse_presentation(args.presentation)
         G = cosets.group_from_presentation(presentation, default_max_cosets())
         report = {"source": "presentation", **group_report(G)}
     elif args.graph:
+        from . import graphs
         graph = graphs.load_graph_json(_read(args.graph))
         analysis = graphs.analyze(graph, max_cosets=default_max_cosets())
         report = {
@@ -107,6 +112,7 @@ def cmd_identify(args) -> tuple[dict, list[str]]:
             "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
         }
     else:
+        from . import tables
         result = tables.group_from_table(tables.parse_table(_read(args.table)))
         if result.ok:
             report = {"source": "table", **group_report(result.group)}
@@ -126,7 +132,7 @@ def cmd_identify(args) -> tuple[dict, list[str]]:
     return report, human
 
 
-def _graph_report(name: str | None, analysis: graphs.GraphReport) -> dict:
+def _graph_report(name: str | None, analysis) -> dict:
     verdict = analysis.verdict
     report = {
         "nodes": len(verdict.color_perms[0]),
@@ -174,6 +180,7 @@ def _graph_human(report: dict) -> list[str]:
 
 
 def cmd_check_graph(args) -> tuple[dict, list[str]]:
+    from . import graphs
     graph = graphs.load_graph_json(_read(args.file))
     analysis = graphs.analyze(
         graph, full_order=args.full_order, max_cosets=default_max_cosets()
@@ -186,6 +193,7 @@ def cmd_check_graph(args) -> tuple[dict, list[str]]:
 
 
 def cmd_check_table(args) -> tuple[dict, list[str]]:
+    from . import tables
     t = tables.parse_table(_read(args.file))
     result = tables.group_from_table(t)
     violation, identity, witness = result.latin_violation, result.identity, result.witness
@@ -235,7 +243,8 @@ FAMILY_USAGE = (
 )
 
 
-def _family_spec(family: str, params: list[str]) -> families.FamilySpec:
+def _family_spec(family: str, params: list[str]):
+    from . import families
     kinds = {
         "cyclic": ("cyclic", 1),
         "abelian": ("abelian", None),
@@ -261,6 +270,7 @@ def _family_spec(family: str, params: list[str]) -> families.FamilySpec:
 
 
 def cmd_make(args) -> tuple[dict, list[str]]:
+    from . import families
     spec = _family_spec(args.family, args.params)
     G = families.make(spec)
     report = {
@@ -275,16 +285,19 @@ def cmd_make(args) -> tuple[dict, list[str]]:
         f"identified: {report['identified']}",
     ]
     if args.table:
+        from . import tables
         text = tables.render_table(G)
         report["table"] = text
         human.append(text.rstrip("\n"))
     if args.dot:
+        from . import graphs
         _write(args.dot, graphs.export_dot(graphs.build_cayley_graph(G)))
     check_expect(args.expect, report["identified"])
     return report, human
 
 
 def cmd_quotient(args) -> tuple[dict, list[str]]:
+    from . import cosets
     presentation = parse_presentation(args.presentation)
     G = cosets.group_from_presentation(presentation, default_max_cosets())
     assignment = {i: el for i, (_, el) in enumerate(G.generators)}
@@ -309,6 +322,7 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
         f"identified: {report['identified']}",
     ]
     if args.table:
+        from . import tables
         text = tables.render_table(Q)
         report["table"] = text
         human.append(text.rstrip("\n"))
@@ -317,6 +331,7 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
 
 
 def cmd_fixture(args) -> tuple[dict, list[str]]:
+    from . import graphs
     if args.analyze_all:
         names = graphs.fixture_names()
         cap = default_max_cosets()

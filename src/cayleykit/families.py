@@ -9,12 +9,13 @@ semidihedral, and semiabelian twists.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
+from math import lcm
 
-from . import matrices
 from .cosets import group_from_presentation
-from .groups import Group, abelian_name, direct_product
+from .groups import Fingerprint, Group, abelian_name, direct_product
 from .words import parse_presentation
 
 __all__ = [
@@ -192,10 +193,12 @@ def _check_sd_modulus(m: int):
 
 
 def diquaternion(quaternion_order: int) -> Group:
+    from . import matrices  # deferred: only the matrix families need it
     return matrices.diquaternion_group(quaternion_order)
 
 
 def pauli(qubits: int) -> Group:
+    from . import matrices
     return matrices.pauli_group(qubits)
 
 
@@ -216,7 +219,18 @@ def _order18_special() -> list[tuple[str, Group]]:
     return [("C_3xD_3", c3xd3), ("C_3:D_3", gen_dihedral)]
 
 
-def _plain_nonabelian(order: int) -> list[tuple[str, Group]]:
+# A catalog entry is (name, fingerprint, build): build() returns the group,
+# constructing it on the first call only.
+
+
+def _built(name: str, G: Group):
+    return name, G.fingerprint(), lambda: G
+
+
+@cache
+def _plain_entries(order: int) -> tuple:
+    """The entries of the plain families of one order, each group built once
+    per process."""
     entries: list[tuple[str, Group]] = []
     if order % 2 == 0:
         m = order // 2
@@ -231,7 +245,7 @@ def _plain_nonabelian(order: int) -> list[tuple[str, Group]]:
             entries.append((f"DQ_{order // 2}", diquaternion(order // 2)))
     if order == 18:
         entries.extend(_order18_special())
-    return entries
+    return tuple(_built(name, G) for name, G in entries)
 
 
 def _invariant_factor_lists(n: int) -> list[list[int]]:
@@ -251,22 +265,49 @@ def _invariant_factor_lists(n: int) -> list[list[int]]:
     return out
 
 
-def _product_bases(order: int) -> list[tuple[str, Group]]:
+@cache
+def _abelian_entry(factors: tuple[int, ...]):
+    """An abelian cofactor, built once per process."""
+    return _built(abelian_name(sorted(factors, reverse=True)), abelian(factors))
+
+
+def _product_bases(order: int) -> tuple:
     """The plain entries of one order that start direct products, except D_k
     for k = 2 (mod 4) and C_3xD_3: as D_k = D_{k/2} x C_2 and C_3xD_3 =
     D_3 x C_3, their products are listed earlier, on base D_{k/2} or D_3."""
     split = {"C_3xD_3", f"D_{order // 2}" if order % 8 == 4 else ""}
-    return [entry for entry in _plain_nonabelian(order) if entry[0] not in split]
+    return tuple(entry for entry in _plain_entries(order) if entry[0] not in split)
 
 
-@lru_cache(maxsize=None)
-def nonabelian_catalog(order: int) -> tuple[tuple[str, Group], ...]:
-    """Named non-abelian candidates of one order, plain families first, then
-    direct products of catalog members; used by identify.  Each group is
-    listed once, and two bases of one order are paired once."""
+def _product(left, right):
+    """The entry of left x right.  Its fingerprint follows from the factors':
+    (x, y) has order lcm(|x|, |y|), and the centre and the derived subgroup of
+    a direct product are the products of the factors' ones."""
+    (lname, lfp, lbuild), (rname, rfp, rbuild) = left, right
+    histogram: Counter[int] = Counter()
+    for p, a in lfp.order_histogram:
+        for q, b in rfp.order_histogram:
+            histogram[lcm(p, q)] += a * b
+    fp = Fingerprint(
+        order=lfp.order * rfp.order,
+        abelian=lfp.abelian and rfp.abelian,
+        exponent=lcm(lfp.exponent, rfp.exponent),
+        order_histogram=tuple(sorted(histogram.items())),
+        center_order=lfp.center_order * rfp.center_order,
+        derived_order=lfp.derived_order * rfp.derived_order,
+    )
+    return f"{lname}x{rname}", fp, cache(lambda: direct_product(lbuild(), rbuild()))
+
+
+@cache
+def nonabelian_catalog(order: int) -> tuple:
+    """Named non-abelian candidates of one order as (name, fingerprint, build)
+    entries, plain families first, then direct products of catalog members;
+    used by identify.  Each group is listed once, and two bases of one order
+    are paired once.  A direct product is built only when build() is called."""
     if order > 64:
         return ()
-    entries = list(_plain_nonabelian(order))
+    entries = list(_plain_entries(order))
     for d in range(6, order):
         if order % d:
             continue
@@ -274,18 +315,17 @@ def nonabelian_catalog(order: int) -> tuple[tuple[str, Group], ...]:
         # D_m x C_2 is plain D_2m for m odd, and D_3 x C_3 is plain C_3xD_3
         plain = {"D_3xC_3", f"D_{d // 2}xC_2" if d % 4 == 2 else ""}
         cofactor = order // d
-        if cofactor > 1:
-            for factors in _invariant_factor_lists(cofactor):
-                aname = abelian_name(sorted(factors, reverse=True))
-                for bname, base in bases:
-                    if f"{bname}x{aname}" not in plain:
-                        entries.append((f"{bname}x{aname}", direct_product(base, abelian(factors))))
+        for factors in _invariant_factor_lists(cofactor):
+            abelian_cofactor = _abelian_entry(tuple(factors))
+            for base in bases:
+                if f"{base[0]}x{abelian_cofactor[0]}" not in plain:
+                    entries.append(_product(base, abelian_cofactor))
         for d2 in range(6, cofactor + 1):
             if d2 * d != order or d2 < d:
                 continue
-            for j, (b2name, base2) in enumerate(_product_bases(d2)):
-                for bname, base in bases[j:] if d2 == d else bases:
-                    entries.append((f"{bname}x{b2name}", direct_product(base, base2)))
+            for j, base2 in enumerate(_product_bases(d2)):
+                for base in bases[j:] if d2 == d else bases:
+                    entries.append(_product(base, base2))
     return tuple(entries)
 
 
@@ -294,5 +334,5 @@ def catalog_groups(max_order: int):
     for order in range(1, max_order + 1):
         for factors in _invariant_factor_lists(order):
             yield abelian_name(sorted(factors, reverse=True)), abelian(factors)
-        for name, group in nonabelian_catalog(order):
-            yield name, group
+        for name, _, build in nonabelian_catalog(order):
+            yield name, build()

@@ -84,8 +84,8 @@ class Group:
     """Finite group given by an n x n multiplication table over 0..n-1."""
 
     __slots__ = (
-        "order", "table", "inverse", "element_names", "generators", "_orders",
-        "_centralizers", "_fp",
+        "order", "table", "inverse", "element_names", "generators", "_gens",
+        "_orders", "_centralizers", "_fp",
     )
 
     def __init__(
@@ -119,11 +119,18 @@ class Group:
         for _, el in self.generators:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
-        self._orders = self._centralizers = self._fp = None
+        self._gens = self._orders = self._centralizers = self._fp = None
 
     @property
     def identity(self) -> int:
         return 0
+
+    def generating_sequence(self) -> tuple[int, ...]:
+        """The greedy generating sequence from the identity, computed on the
+        first call only; every structural invariant starts from it."""
+        if self._gens is None:
+            self._gens = tuple(_generating_sequence(self.table, 0))
+        return self._gens
 
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, computed on the first call only.
@@ -159,7 +166,7 @@ class Group:
 
     def is_abelian(self) -> bool:
         t = self.table
-        gens = _generating_sequence(t, 0)
+        gens = self.generating_sequence()
         return all(t[a][b] == t[b][a] for a, b in combinations(gens, 2))
 
     def exponent(self) -> int:
@@ -384,7 +391,7 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
 def center(G: Group) -> Subgroup:
     """The elements that commute with each generator."""
     t = G.table
-    gens = _generating_sequence(t, 0)
+    gens = G.generating_sequence()
     members = [z for z in range(G.order) if all(t[z][g] == t[g][z] for g in gens)]
     return Subgroup(G, tuple(members))
 
@@ -392,7 +399,7 @@ def center(G: Group) -> Subgroup:
 def derived_subgroup(G: Group) -> Subgroup:
     """The normal closure of the commutators of the generators."""
     t, inv = G.table, G.inverse
-    gens = _generating_sequence(t, 0)
+    gens = G.generating_sequence()
     comms = [t[t[inv[a]][inv[b]]][t[a][b]] for a, b in combinations(gens, 2)]
     return normal_closure(G, comms)
 
@@ -499,7 +506,7 @@ def is_isomorphic(G: Group, H: Group):
     # an isomorphism preserves each element's order and centraliser order
     kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
-    gens = _generating_sequence(G.table, 0)
+    gens = G.generating_sequence()
 
     def saturate(phi: dict[int, int], g: int):
         """Close phi under products; None unless it stays well defined and injective."""
@@ -606,8 +613,9 @@ def identify(G: Group) -> Identification:
         return Identification(abelian_name(abelian_invariants(G)), fp)
     from . import families  # deferred: families builds groups via this module
 
-    for name, candidate in families.nonabelian_catalog(G.order):
-        if candidate.fingerprint() == fp and is_isomorphic(G, candidate) is not None:
+    # only a candidate with G's fingerprint is built and searched
+    for name, candidate_fp, build in families.nonabelian_catalog(G.order):
+        if candidate_fp == fp and is_isomorphic(G, build()) is not None:
             return Identification(name, fp)
     return Identification(None, fp)
 

@@ -14,8 +14,10 @@ import random
 import resource
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cayleykit.cli import main
 
@@ -353,12 +355,15 @@ def test_duplicate_header_symbol_is_a_usage_error(tmp_path, capsys):
 ADDRESS_SPACE = 600 * 2**20
 
 
-def run_cli_limited(argv):
+def run_cli_limited(argv, max_cosets=None):
     """The CLI in a child process whose address space is capped, so that a
-    table built before its cap ends in a MemoryError there, not here."""
+    table built before its cap ends in a MemoryError there, not here.
+    ``max_cosets``, if given, is the child's CAYLEY_MAX_COSETS."""
     limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
     script = "import sys; from cayleykit.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    if max_cosets is not None:
+        env["CAYLEY_MAX_COSETS"] = max_cosets
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, preexec_fn=limit, timeout=120,
@@ -434,3 +439,72 @@ def test_graph_name_that_is_not_a_string_is_a_usage_error(document, message, tmp
     path.write_text(document)
     out = run_cli_limited(["check-graph", str(path)])
     assert (out.returncode, out.stdout, out.stderr) == (2, "", message)
+
+
+# Generated CLI inputs: presentation text, table text, graph JSON and
+# CAYLEY_MAX_COSETS values.  Each kind is drawn either shaped like a valid
+# input, so that it reaches enumeration, the axiom checks or the graph
+# analysis, or as free text that mostly fails to parse.
+SYLLABLES = st.tuples(st.sampled_from(["a", "b", "(a b)", "(a b^-1 a)"]), st.integers(-3, 9))
+RELATORS = st.lists(SYLLABLES, min_size=1, max_size=3).map(
+    lambda word: " ".join(f"{g}^{k}" for g, k in word)
+)
+PRESENTATIONS = st.lists(RELATORS, max_size=3).map(lambda rels: f"<a,b | {', '.join(rels)}>")
+TABLES = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from("eabc"[:n]), min_size=n, max_size=n), min_size=n, max_size=n
+    ).map(lambda rows: "\n".join(" ".join(row) for row in ["eabc"[:n], *rows]))
+)
+JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-2, 10**12)
+    | st.floats(allow_nan=False) | st.text("ab", max_size=3)
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["nodes", "labels", "colors", "name", "directed", "edges"]),
+        inner, max_size=4,
+    ),
+    max_leaves=10,
+)
+COLORS = st.fixed_dictionaries({
+    "name": st.sampled_from(["r", "s"]) | JSON_LEAVES,
+    "directed": st.booleans(),
+    "edges": st.lists(st.lists(st.integers(-1, 4), min_size=2, max_size=2), max_size=6),
+})
+GRAPHS = st.fixed_dictionaries(
+    {"nodes": st.integers(0, 5), "colors": st.lists(COLORS, min_size=1, max_size=2)}
+) | JSON_VALUES
+CLI_INPUTS = st.one_of(
+    st.tuples(st.just("enumerate"), PRESENTATIONS | st.text("<>|,=^-()ab 0123456789",
+                                                              max_size=30)),
+    st.tuples(st.just("check-table"), TABLES | st.text("eab x1\n", max_size=30)),
+    st.tuples(st.just("check-graph"), GRAPHS.map(json.dumps)),
+)
+MAX_COSETS = st.none() | st.integers(-2, 300).map(str) | st.sampled_from(
+    ["", "ten", "1e3", "4194305", "99999999999999"]
+)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(request=CLI_INPUTS, max_cosets=MAX_COSETS)
+@example(request=("check-graph", "[" * 100000), max_cosets=None)
+@example(request=("enumerate", f"<a | {NESTED_WORD}>"), max_cosets=None)
+@example(request=("enumerate", "<a,b | a b a^-1 b^-1>"), max_cosets="99999999999999")
+@example(
+    request=("check-graph", '{"nodes": 2, "colors": [{"name": %s, "directed": false, '
+             '"edges": [[0, 1]]}]}' % NESTED_LIST),
+    max_cosets=None,
+)
+def test_generated_inputs_end_in_an_exit_code_not_a_traceback(request, max_cosets):
+    command, text = request
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "enumerate":
+            argv = [command, text]
+        else:
+            path = pathlib.Path(tmp, "input")
+            path.write_text(text)
+            argv = [command, str(path)]
+        out = run_cli_limited(argv, max_cosets)
+    assert out.returncode in (0, 2, 3, 4), out.stderr
+    assert "Traceback" not in out.stderr

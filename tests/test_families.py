@@ -2,7 +2,7 @@ import pytest
 
 from cayleykit import families
 from cayleykit.families import FamilySpec
-from cayleykit.groups import identify, is_isomorphic
+from cayleykit.groups import direct_product, identify, is_isomorphic
 from cayleykit.words import evaluate_word
 
 
@@ -134,9 +134,9 @@ def test_dihedral_convention_is_double():
 
 
 def test_catalog_has_expected_members():
-    names = {name for name, _ in families.nonabelian_catalog(32)}
+    names = {name for name, _, _ in families.nonabelian_catalog(32)}
     assert {"D_16", "SD_16", "SA_16", "Q_32", "DQ_16"} <= names
-    names16 = {name for name, _ in families.nonabelian_catalog(16)}
+    names16 = {name for name, _, _ in families.nonabelian_catalog(16)}
     assert {"D_8", "SD_8", "SA_8", "Q_16", "DQ_8", "D_4xC_2", "Q_8xC_2"} <= names16
 
 
@@ -144,10 +144,51 @@ def test_catalog_lists_each_group_once():
     # D_6 = D_3xC_2, C_3xD_3 = D_3xC_3 and Q_8xD_4 = D_4xQ_8 appear once each
     total = 0
     for order in range(1, 65):
-        entries = families.nonabelian_catalog(order)
+        entries = [(name, build()) for name, _, build in families.nonabelian_catalog(order)]
         total += len(entries)
         for i, (name, G) in enumerate(entries):
             for earlier, H in entries[:i]:
                 if G.fingerprint() == H.fingerprint():
                     assert is_isomorphic(G, H) is None, (earlier, name)
     assert total == 120
+
+
+def test_catalog_fingerprints_follow_from_the_factors():
+    # a product entry's fingerprint is computed from its factors' without
+    # building it; it must equal the fingerprint of the group it builds
+    for order in range(1, 65):
+        for name, fp, build in families.nonabelian_catalog(order):
+            G = build()
+            assert G.order == order, name
+            assert G.fingerprint() == fp, name
+            assert build() is G, name
+
+
+def products_built(monkeypatch, action) -> int:
+    """The direct products built by ``action`` with the catalog listed anew
+    (its plain entries and abelian cofactors stay built)."""
+    for order in range(1, 65):
+        families.nonabelian_catalog(order)
+    built = []
+    monkeypatch.setattr(
+        families, "direct_product", lambda G, H: built.append(1) or direct_product(G, H)
+    )
+    families.nonabelian_catalog.cache_clear()
+    action()
+    return len(built)
+
+
+def test_unmatched_order_64_group_builds_no_product(monkeypatch):
+    pauli2 = families.pauli(2)
+    assert products_built(monkeypatch, lambda: identify(pauli2)) == 0
+    assert identify(pauli2).name is None
+
+
+def test_identify_builds_at_most_two_catalog_products(monkeypatch):
+    # at most two entries of one order share a fingerprint
+    for order in range(1, 65):
+        fingerprints = [fp for _, fp, _ in families.nonabelian_catalog(order)]
+        assert max(map(fingerprints.count, fingerprints), default=0) <= 2
+    for name, G in families.catalog_groups(64):
+        if not G.is_abelian():
+            assert products_built(monkeypatch, lambda: identify(G)) <= 2, name

@@ -332,7 +332,8 @@ def test_is_isomorphic_is_a_homomorphism():
     # is_isomorphic returns its map closed under products with no final check
     pairs = [(families.semidihedral(8), families.make(families.FamilySpec("sdp", (8, 3))))]
     pairs += [(G, relabelled_group(G, seed)) for seed, G in enumerate(CATALOG) if G.order <= 32]
-    pairs += [(G, relabelled_group(G, 64)) for _, G in families.nonabelian_catalog(64)]
+    order_64 = [build() for _, _, build in families.nonabelian_catalog(64)]
+    pairs += [(G, relabelled_group(G, 64)) for G in order_64]
     for G, H in pairs:
         for A, B in ((G, H), (H, G)):
             phi = is_isomorphic(A, B)
@@ -376,11 +377,27 @@ def test_identify_examples():
 
 
 def test_identify_order18_catalog():
-    named = dict(families.nonabelian_catalog(18))
+    named = {name: build() for name, _, build in families.nonabelian_catalog(18)}
     for name in ("D_9", "C_3xD_3", "C_3:D_3"):
         assert identify(named[name]).name == name
     assert identify(families.abelian([3, 6])).name == "C_6xC_3"
     assert identify(families.cyclic(18)).name == "C_18"
+
+
+def test_generating_sequence_is_computed_once_per_group(monkeypatch):
+    import cayleykit.groups as groups_module
+
+    families.nonabelian_catalog(10)  # the candidate D_5 has its fingerprint
+    calls = []
+    sequence = groups_module._generating_sequence
+    monkeypatch.setattr(
+        groups_module, "_generating_sequence", lambda *a: calls.append(a) or sequence(*a)
+    )
+    for G, name in ((families.abelian([4, 6]), "C_12xC_2"), (families.dihedral(5), "D_5")):
+        calls.clear()
+        G.fingerprint()
+        assert identify(G).name == name
+        assert len(calls) == 1, name
 
 
 def test_identify_unmatched_reports_fingerprint():
@@ -408,7 +425,8 @@ def relabelled_group(G, seed):
 
 
 def test_shuffled_order_64_catalog_groups_keep_their_names():
-    for name, G in families.nonabelian_catalog(64):
+    for name, _, build in families.nonabelian_catalog(64):
+        G = build()
         assert identify(relabelled_group(G, 64)).name == identify(G).name, name
 
 
