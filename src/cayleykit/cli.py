@@ -23,13 +23,7 @@ import time
 from importlib import resources
 
 from .groups import CapExceeded, Group, identify, normal_closure, quotient as group_quotient
-from .words import (
-    ParseError,
-    evaluate_word,
-    format_presentation,
-    parse_presentation,
-    parse_word,
-)
+from .words import evaluate_word, format_presentation, parse_presentation, parse_word
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +46,7 @@ def default_max_cosets() -> int:
     try:
         return int(value)
     except ValueError:
-        raise ParseError(f"CAYLEY_MAX_COSETS must be an integer, got {value!r}", 0)
+        raise ValueError(f"CAYLEY_MAX_COSETS must be an integer, got {value!r}")
 
 
 def check_expect(expected: str | None, actual: str):
@@ -245,27 +239,14 @@ FAMILY_USAGE = (
 
 def _family_spec(family: str, params: list[str]):
     from . import families
-    kinds = {
-        "cyclic": ("cyclic", 1),
-        "abelian": ("abelian", None),
-        "dihedral": ("dihedral", 1),
-        "quaternion": ("quaternion", 1),
-        "semidihedral": ("semidihedral", 1),
-        "semiabelian": ("semiabelian", 1),
-        "sdp": ("sdp", 2),
-        "dq": ("diquaternion", 1),
-        "pauli": ("pauli", 1),
-    }
-    if family not in kinds:
-        raise ParseError(f"unknown family {family!r} (use: {FAMILY_USAGE})", 0)
-    kind, arity = kinds[family]
-    if kind == "abelian":
+    kind = {entry.cli: kind for kind, entry in families.FAMILIES.items()}.get(family)
+    if kind is None:
+        raise ValueError(f"unknown family {family!r} (use: {FAMILY_USAGE})")
+    if families.FAMILIES[kind].arity is None:
         if len(params) != 1:
-            raise ParseError("abelian takes one comma-separated factor list", 0)
-        values = tuple(int(x) for x in params[0].split(","))
-        return families.FamilySpec("abelian", values)
-    if len(params) != arity:
-        raise ParseError(f"{family} takes {arity} integer argument(s)", 0)
+            raise ValueError(f"{family} takes one comma-separated factor list")
+        params = params[0].split(",")
+    families.family_entry(kind, len(params))  # the count before int() reads a value
     return families.FamilySpec(kind, tuple(int(x) for x in params))
 
 
@@ -350,10 +331,10 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
             )
         return report, human
     if not args.name:
-        raise ParseError("fixture name required (or use --analyze-all)", 0)
+        raise ValueError("fixture name required (or use --analyze-all)")
     if args.name not in graphs.fixture_names():
         known = ", ".join(graphs.fixture_names())
-        raise ParseError(f"unknown fixture {args.name!r} (known: {known})", 0)
+        raise ValueError(f"unknown fixture {args.name!r} (known: {known})")
     graph = graphs.fixture(args.name)
     if args.dot:
         _write(args.dot, graphs.export_dot(graph))
@@ -378,7 +359,7 @@ def _read(path: str) -> str:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}", 0)
+        raise ValueError(f"cannot read {path}: {exc}")
 
 
 def _write(path: str, text: str):
@@ -474,14 +455,13 @@ def main(argv=None) -> int:
     warnings: list[str] = []
     try:
         report, human = args.handler(args)
-        code = EXIT_OK
     except ExpectMismatch as exc:
         print(f"expectation failed: {exc}", file=sys.stderr)
         return EXIT_EXPECT
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ParseError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.json:
@@ -496,7 +476,7 @@ def main(argv=None) -> int:
     else:
         for line in human:
             print(line)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -10,102 +10,28 @@ semidihedral, and semiabelian twists.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cache
 from math import lcm
+from typing import Callable, NamedTuple
 
 from .cosets import group_from_presentation
 from .groups import Fingerprint, Group, abelian_name, direct_product
 from .words import parse_presentation
 
 __all__ = [
-    "FamilySpec",
-    "make",
-    "family_presentation",
-    "cyclic",
-    "abelian",
-    "dihedral",
-    "quaternion",
-    "sdp_c2",
-    "semidihedral",
-    "semiabelian",
-    "diquaternion",
-    "pauli",
-    "involutive_exponents",
-    "nonabelian_catalog",
-    "catalog_groups",
+    "FAMILIES", "Family", "FamilySpec", "family_entry", "family_presentation", "make",
+    "cyclic", "abelian", "dihedral", "quaternion", "sdp_c2", "semidihedral", "semiabelian",
+    "diquaternion", "pauli", "involutive_exponents", "nonabelian_catalog", "catalog_groups",
 ]
 
 GENERATOR_ALPHABET = "abcdeghklmnpqtuvw"  # skips f, r, s, and the like-i/j/z names
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A family name plus its integer parameters.
-
-    kinds: cyclic(n), abelian(d1,d2,...), dihedral(n), quaternion(order),
-    semidihedral(m), semiabelian(m), sdp(m,k), diquaternion(m), pauli(q),
-    and direct-product over sub-specs.
-    """
+class FamilySpec(NamedTuple):
+    """A family kind, a key of ``FAMILIES``, plus its integer parameters."""
 
     kind: str
     params: tuple[int, ...] = ()
-    factors: tuple["FamilySpec", ...] = field(default=())
-
-
-def make(spec: FamilySpec) -> Group:
-    kind, p = spec.kind, spec.params
-    if kind == "cyclic":
-        return cyclic(*p)
-    if kind == "abelian":
-        return abelian(list(p))
-    if kind == "dihedral":
-        return dihedral(*p)
-    if kind == "quaternion":
-        return quaternion(*p)
-    if kind == "semidihedral":
-        return semidihedral(*p)
-    if kind == "semiabelian":
-        return semiabelian(*p)
-    if kind == "sdp":
-        return sdp_c2(*p)
-    if kind == "diquaternion":
-        return diquaternion(*p)
-    if kind == "pauli":
-        return pauli(*p)
-    if kind == "direct-product":
-        groups = [make(f) for f in spec.factors]
-        if not groups:
-            raise ValueError("direct-product needs factors")
-        out = groups[0]
-        for other in groups[1:]:
-            out = direct_product(out, other)
-        return out
-    raise ValueError(f"unknown family kind {spec.kind!r}")
-
-
-def family_presentation(spec: FamilySpec):
-    """The canonical presentation behind a presentation-backed family, or
-    None for the matrix-closure families."""
-    kind, p = spec.kind, spec.params
-    if kind == "cyclic":
-        return parse_presentation(_cyclic_text(*p))
-    if kind == "abelian":
-        factors = [d for d in p if d != 1] or [1]
-        return parse_presentation(_abelian_text(factors))
-    if kind == "dihedral":
-        return parse_presentation(_dihedral_text(*p))
-    if kind == "quaternion":
-        return parse_presentation(_quaternion_text(*p))
-    if kind == "semidihedral":
-        _check_sd_modulus(p[0])
-        return parse_presentation(_sdp_text(p[0], p[0] // 2 - 1))
-    if kind == "semiabelian":
-        _check_sd_modulus(p[0])
-        return parse_presentation(_sdp_text(p[0], p[0] // 2 + 1))
-    if kind == "sdp":
-        return parse_presentation(_sdp_text(*p))
-    return None
 
 
 def _cyclic_text(n: int) -> str:
@@ -114,7 +40,12 @@ def _cyclic_text(n: int) -> str:
     return f"<r | r^{n}>"
 
 
-def _abelian_text(factors) -> str:
+def _abelian_text(*invariant_factors: int) -> str:
+    factors = [d for d in invariant_factors if d != 1]
+    if any(d < 1 for d in factors):
+        raise ValueError("factors must be positive")
+    if not factors:
+        return _cyclic_text(1)
     if len(factors) > len(GENERATOR_ALPHABET):
         raise ValueError("too many factors")
     gens = list(GENERATOR_ALPHABET[: len(factors)])
@@ -146,60 +77,106 @@ def _sdp_text(m: int, k: int) -> str:
     return f"<r,s | r^{m}=s^2=1, s r s=r^{k}>"
 
 
+def _twist_text(m: int, sign: int) -> str:
+    """The twist k = m/2 + sign on <r> of order m = 2^t, t >= 3: semidihedral
+    for sign -1, semiabelian for +1."""
+    if m < 8 or m & (m - 1):
+        raise ValueError("modulus must be a power of two, at least 8")
+    return _sdp_text(m, m // 2 + sign)
+
+
+class Family(NamedTuple):
+    """A row of FAMILIES: the family's name on the command line, its parameter
+    count (None: abelian's one list of factors), the parameter names of the
+    usage line, and either the function writing its presentation text from
+    the parameters or the name of its builder in ``matrices``."""
+
+    cli: str
+    arity: int | None
+    labels: tuple[str, ...]
+    text: Callable[..., str] | None = None
+    matrix_builder: str | None = None
+
+
+FAMILIES = {
+    "cyclic": Family("cyclic", 1, ("n",), _cyclic_text),
+    "abelian": Family("abelian", None, ("d1,d2,...",), _abelian_text),
+    "dihedral": Family("dihedral", 1, ("n",), _dihedral_text),
+    "quaternion": Family("quaternion", 1, ("m",), _quaternion_text),
+    "semidihedral": Family("semidihedral", 1, ("m",), lambda m: _twist_text(m, -1)),
+    "semiabelian": Family("semiabelian", 1, ("m",), lambda m: _twist_text(m, 1)),
+    "sdp": Family("sdp", 2, ("m", "k"), _sdp_text),
+    "diquaternion": Family("dq", 1, ("m",), matrix_builder="diquaternion_group"),
+    "pauli": Family("pauli", 1, ("q",), matrix_builder="pauli_group"),
+}
+
+
+def family_entry(kind: str, count: int) -> Family:
+    """The ``FAMILIES`` entry of a kind taking ``count`` parameters; raises
+    ValueError for an unknown kind or a wrong count."""
+    entry = FAMILIES.get(kind)
+    if entry is None:
+        raise ValueError(f"unknown family kind {kind!r}")
+    if entry.arity is not None and count != entry.arity:
+        raise ValueError(f"{entry.cli} takes {entry.arity} integer argument(s)")
+    return entry
+
+
+def family_presentation(spec: FamilySpec):
+    """The canonical presentation behind a presentation-backed family, or
+    None for the matrix-closure families."""
+    entry = family_entry(spec.kind, len(spec.params))
+    return None if entry.text is None else parse_presentation(entry.text(*spec.params))
+
+
+def make(spec: FamilySpec) -> Group:
+    presentation = family_presentation(spec)
+    if presentation is not None:
+        return group_from_presentation(presentation)
+    from . import matrices  # deferred: only the matrix families need it
+    return getattr(matrices, FAMILIES[spec.kind].matrix_builder)(*spec.params)
+
+
 def cyclic(n: int) -> Group:
-    return group_from_presentation(parse_presentation(_cyclic_text(n)))
+    return make(FamilySpec("cyclic", (n,)))
 
 
 def abelian(invariant_factors) -> Group:
     """Direct product of cyclic groups given by an invariant-factor list."""
-    factors = [int(d) for d in invariant_factors if int(d) != 1]
-    if any(d < 1 for d in factors):
-        raise ValueError("factors must be positive")
-    if not factors:
-        return cyclic(1)
-    return group_from_presentation(parse_presentation(_abelian_text(factors)))
+    return make(FamilySpec("abelian", tuple(invariant_factors)))
 
 
 def dihedral(n: int) -> Group:
     """Order 2n (subscript counts the rotations)."""
-    return group_from_presentation(parse_presentation(_dihedral_text(n)))
+    return make(FamilySpec("dihedral", (n,)))
 
 
 def quaternion(order: int) -> Group:
     """Generalized quaternion group of order 2^n, n >= 3."""
-    return group_from_presentation(parse_presentation(_quaternion_text(order)))
+    return make(FamilySpec("quaternion", (order,)))
 
 
 def sdp_c2(m: int, k: int) -> Group:
     """<r,s | r^m = s^2 = 1, s r s = r^k>; requires k^2 = 1 mod m."""
-    return group_from_presentation(parse_presentation(_sdp_text(m, k)))
+    return make(FamilySpec("sdp", (m, k)))
 
 
 def semidihedral(m: int) -> Group:
     """Twist k = m/2 - 1 on <r> of order m = 2^t, t >= 3; group order 2m."""
-    _check_sd_modulus(m)
-    return sdp_c2(m, m // 2 - 1)
+    return make(FamilySpec("semidihedral", (m,)))
 
 
 def semiabelian(m: int) -> Group:
     """Twist k = m/2 + 1 on <r> of order m = 2^t, t >= 3; group order 2m."""
-    _check_sd_modulus(m)
-    return sdp_c2(m, m // 2 + 1)
-
-
-def _check_sd_modulus(m: int):
-    if m < 8 or m & (m - 1):
-        raise ValueError("modulus must be a power of two, at least 8")
+    return make(FamilySpec("semiabelian", (m,)))
 
 
 def diquaternion(quaternion_order: int) -> Group:
-    from . import matrices  # deferred: only the matrix families need it
-    return matrices.diquaternion_group(quaternion_order)
+    return make(FamilySpec("diquaternion", (quaternion_order,)))
 
 
 def pauli(qubits: int) -> Group:
-    from . import matrices
-    return matrices.pauli_group(qubits)
+    return make(FamilySpec("pauli", (qubits,)))
 
 
 def involutive_exponents(m: int) -> list[int]:

@@ -472,7 +472,7 @@ def export_dot(graph: ColoredDigraph) -> str:
     """DOT digraph with one statement per node and per edge, stable order."""
     lines = ["digraph G {"]
     for i in range(graph.node_count):
-        label = graph.label_of(i).replace('"', '\\"')
+        label = graph.label_of(i).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {i} [label="{label}"];')
     for ci, color in enumerate(graph.colors):
         dot_color = color.name if color.name in DOT_COLORS else DOT_PALETTE[ci % len(DOT_PALETTE)]

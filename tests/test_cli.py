@@ -19,6 +19,7 @@ import tempfile
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cayleykit import cli
 from cayleykit.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -114,6 +115,39 @@ def test_usage_error_exit_code(capsys):
 def test_unknown_family_exit_code(capsys):
     code, _ = run_cli(["make", "heisenberg", "3"], capsys)
     assert code == 2
+
+
+def test_family_usage_errors_have_no_text_position(capsys):
+    assert run_cli_err(["make", "heisenberg", "3"], capsys) == (
+        2,
+        "error: unknown family 'heisenberg' (use: cyclic n | abelian d1,d2,... | "
+        "dihedral n | quaternion m | semidihedral m | semiabelian m | sdp m k | dq m | "
+        "pauli q)\n",
+    )
+    assert run_cli_err(["make", "dq", "8", "2"], capsys) == (
+        2, "error: dq takes 1 integer argument(s)\n"
+    )
+    assert run_cli_err(["make", "sdp", "x"], capsys) == (
+        2, "error: sdp takes 2 integer argument(s)\n"
+    )
+    assert run_cli_err(["make", "abelian", "4", "6"], capsys) == (
+        2, "error: abelian takes one comma-separated factor list\n"
+    )
+
+
+def test_family_usage_lists_the_family_table():
+    from cayleykit import families
+    usage = " | ".join(
+        " ".join((entry.cli, *entry.labels)) for entry in families.FAMILIES.values()
+    )
+    assert cli.FAMILY_USAGE == usage
+
+
+def test_fixture_help_lists_the_bundled_fixtures():
+    from cayleykit import graphs
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    name = next(a for a in sub.choices["fixture"]._actions if a.dest == "name")
+    assert sorted(name.help.split(", ")) == graphs.fixture_names()
 
 
 def test_cap_exceeded_exit_code(capsys):

@@ -25,16 +25,6 @@ def test_make_orders(spec, order):
     assert families.make(spec).order == order
 
 
-def test_make_direct_product():
-    spec = FamilySpec(
-        "direct-product",
-        factors=(FamilySpec("dihedral", (3,)), FamilySpec("cyclic", (5,))),
-    )
-    G = families.make(spec)
-    assert G.order == 30
-    assert identify(G).name == "D_3xC_5"
-
-
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         families.quaternion(12)
@@ -100,21 +90,56 @@ def test_quaternion_never_a_twist(n):
         assert is_isomorphic(Q, families.sdp_c2(2 ** (n - 1), k)) is None
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [
-        FamilySpec("cyclic", (9,)),
-        FamilySpec("abelian", (4, 2, 2)),
-        FamilySpec("dihedral", (7,)),
-        FamilySpec("quaternion", (32,)),
-        FamilySpec("semidihedral", (16,)),
-        FamilySpec("semiabelian", (16,)),
-        FamilySpec("sdp", (12, 5)),
-    ],
-)
+AGREEMENT_SPECS = [
+    FamilySpec("cyclic", (9,)),
+    FamilySpec("abelian", (4, 2, 2)),
+    FamilySpec("dihedral", (7,)),
+    FamilySpec("quaternion", (32,)),
+    FamilySpec("semidihedral", (16,)),
+    FamilySpec("semiabelian", (16,)),
+    FamilySpec("sdp", (12, 5)),
+    # a small grid over every presentation family, invalid parameters included
+    FamilySpec("cyclic", (1,)),
+    FamilySpec("cyclic", (0,)),
+    FamilySpec("abelian", (1,)),
+    FamilySpec("abelian", (1, 1)),
+    FamilySpec("abelian", (0,)),
+    FamilySpec("abelian", (-2,)),
+    FamilySpec("abelian", (4, 1, 2)),
+    FamilySpec("abelian", ()),
+    FamilySpec("dihedral", (1,)),
+    FamilySpec("dihedral", (0,)),
+    FamilySpec("quaternion", (8,)),
+    FamilySpec("quaternion", (12,)),
+    FamilySpec("semidihedral", (8,)),
+    FamilySpec("semidihedral", (12,)),
+    FamilySpec("semiabelian", (4,)),
+    FamilySpec("sdp", (2, 1)),
+    FamilySpec("sdp", (16, 3)),
+    FamilySpec("sdp", (1, 0)),
+    FamilySpec("sdp", (8,)),  # wrong parameter count
+    FamilySpec("cyclic", (3, 4)),  # wrong parameter count
+]
+
+
+def test_agreement_specs_cover_every_presentation_family():
+    kinds = {kind for kind, entry in families.FAMILIES.items() if entry.text}
+    assert {spec.kind for spec in AGREEMENT_SPECS} == kinds
+
+
+@pytest.mark.parametrize("spec", AGREEMENT_SPECS)
 def test_defining_relators_hold(spec):
-    presentation = families.family_presentation(spec)
+    """make and family_presentation agree: both refuse a spec with
+    ValueError, or the group has the presentation's generator names and
+    satisfies every relator."""
+    try:
+        presentation = families.family_presentation(spec)
+    except ValueError:
+        with pytest.raises(ValueError):
+            families.make(spec)
+        return
     G = families.make(spec)
+    assert [name for name, _ in G.generators] == list(presentation.generators)
     names = dict(G.generators)
     assignment = {
         i: names[g] for i, g in enumerate(presentation.generators)

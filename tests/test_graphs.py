@@ -331,6 +331,15 @@ def test_export_dot_counts():
     assert sum(1 for l in edge_lines if "dir=none" in l) == 4
 
 
+def test_export_dot_escapes_backslashes_and_quotes():
+    graph = ColoredDigraph(
+        2, (EdgeColor("s", False, ((0, 1),)),), labels=("a\\", 'say "hi"')
+    )
+    lines = export_dot(graph).splitlines()
+    assert lines[1] == '  0 [label="a\\\\"];'
+    assert lines[2] == '  1 [label="say \\"hi\\""];'
+
+
 def test_export_dot_palette_for_unknown_names():
     g = build_cayley_graph(families.dihedral(3))
     text = export_dot(g)
