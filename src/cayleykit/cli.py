@@ -253,7 +253,7 @@ def _family_spec(family: str, params: list[str]):
 def cmd_make(args) -> tuple[dict, list[str]]:
     from . import families
     spec = _family_spec(args.family, args.params)
-    G = families.make(spec)
+    G = families.make(spec, default_max_cosets())
     report = {
         "family": spec.kind,
         "params": list(spec.params),
@@ -389,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("presentation", help='e.g. "<r,f | r^4=f^2=1, r f r=f>"')
     p.add_argument("--max-cosets", type=int, default=None)
     add_common(p)
-    p.set_defaults(handler=cmd_enumerate)
 
     p = sub.add_parser("identify", help="identify a presentation, graph, or table")
     source = p.add_mutually_exclusive_group(required=True)
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--graph", metavar="FILE")
     source.add_argument("--table", metavar="FILE")
     add_common(p)
-    p.set_defaults(handler=cmd_identify)
 
     p = sub.add_parser("check-graph", help="full Cayley-graph analysis of a graph file")
     p.add_argument("file")
@@ -409,12 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
         "elements; exit 3 past 2^24 stored node images)",
     )
     add_common(p)
-    p.set_defaults(handler=cmd_check_graph)
 
     p = sub.add_parser("check-table", help="group-axioms report for a table file")
     p.add_argument("file")
     add_common(p)
-    p.set_defaults(handler=cmd_check_table)
 
     p = sub.add_parser("make", help="construct a named family member")
     p.add_argument("family", help=FAMILY_USAGE)
@@ -422,14 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--table", action="store_true", help="print the Cayley table")
     p.add_argument("--dot", metavar="OUT", help="write the Cayley graph as DOT")
     add_common(p)
-    p.set_defaults(handler=cmd_make)
 
     p = sub.add_parser("quotient", help="quotient by the normal closure of words")
     p.add_argument("--presentation", required=True, metavar="P")
     p.add_argument("--normal", required=True, metavar="W1,W2,...")
     p.add_argument("--table", action="store_true", help="print the quotient table")
     add_common(p)
-    p.set_defaults(handler=cmd_quotient)
 
     p = sub.add_parser("fixture", help="emit or analyze a bundled puzzle graph")
     p.add_argument(
@@ -442,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--analyze-all", action="store_true")
     p.add_argument("--dot", metavar="OUT")
     add_common(p)
-    p.set_defaults(handler=cmd_fixture)
 
     return parser
 
@@ -451,10 +444,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # by name at call time, so a cmd_* attribute replaced after the parser was built runs
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     started = time.perf_counter()
     warnings: list[str] = []
     try:
-        report, human = args.handler(args)
+        report, human = handler(args)
     except ExpectMismatch as exc:
         print(f"expectation failed: {exc}", file=sys.stderr)
         return EXIT_EXPECT

@@ -20,7 +20,10 @@ x^e closes on the whole x-cycle through its coset, so the cycle is marked and
 its other cosets skip the scan: it would be a closed walk that defines and
 merges nothing, so every table is the one a full scan gives.  The marks
 survive later coincidences, since coincidence processing keeps every live
-row's entries: a loop closed at c stays closed at rep(c).
+row's entries: a loop closed at c stays closed at rep(c).  (A live row's
+entry is detached only as a back-reference to a dead row, and written again
+in the same step.)  The same invariant keeps ``first_open`` monotone, so the
+completeness checks of a run walk each row O(1) times.
 
 The relator check traces each run x^e of a relator as one power of x's
 column, built by repeated squaring and once per (letter, e) in a check, so a
@@ -163,8 +166,6 @@ class _Enumerator:
                 # detach the back-reference before re-attaching
                 if table[delta][inv] == dead:
                     table[delta][inv] = None
-                    if delta < self.first_open:
-                        self.first_open = delta
                 delta = rep(delta)
                 mu = rep(live)
                 existing = table[mu][col]
@@ -309,17 +310,19 @@ def todd_coxeter(
 ) -> CosetTable:
     """Enumerate cosets of the trivial subgroup; raise CapExceeded on overflow.
 
-    The returned table is checked: every relator closes at every coset.  The
-    cap may not exceed MAX_TABLE_CELLS // (2 * rank): a coset table with more
-    rows would hold more cells than a group table may."""
+    The returned table is checked: every relator closes at every coset."""
+    check_max_cosets(max_cosets, presentation.rank)
+    return _Enumerator(presentation, max_cosets).run()
+
+
+def check_max_cosets(max_cosets: int, rank: int):
+    """Raise ValueError unless 1 <= max_cosets <= MAX_TABLE_CELLS // (2 * rank):
+    a coset table with more rows would hold more cells than a group table may."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    ceiling = MAX_TABLE_CELLS // (2 * presentation.rank)
+    ceiling = MAX_TABLE_CELLS // (2 * rank)
     if max_cosets > ceiling:
-        raise ValueError(
-            f"max_cosets must be at most {ceiling} for {presentation.rank} generators"
-        )
-    return _Enumerator(presentation, max_cosets).run()
+        raise ValueError(f"max_cosets must be at most {ceiling} for {rank} generators")
 
 
 def group_from_coset_table(table: CosetTable) -> Group:

@@ -14,7 +14,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, NamedTuple
 
-from .cosets import group_from_presentation
+from .cosets import DEFAULT_MAX_COSETS, group_from_presentation
 from .groups import Fingerprint, Group, abelian_name, direct_product
 from .words import parse_presentation
 
@@ -129,10 +129,11 @@ def family_presentation(spec: FamilySpec):
     return None if entry.text is None else parse_presentation(entry.text(*spec.params))
 
 
-def make(spec: FamilySpec) -> Group:
+def make(spec: FamilySpec, max_cosets: int = DEFAULT_MAX_COSETS) -> Group:
+    """The family member; a presentation family enumerates up to max_cosets."""
     presentation = family_presentation(spec)
     if presentation is not None:
-        return group_from_presentation(presentation)
+        return group_from_presentation(presentation, max_cosets)
     from . import matrices  # deferred: only the matrix families need it
     return getattr(matrices, FAMILIES[spec.kind].matrix_builder)(*spec.params)
 

@@ -338,8 +338,7 @@ def _regular_coset_table(
     automorphism of a Cayley graph, taking node 0 to any node.  A relator
     that fixes one point of a regular action fixes them all, so tracing each
     from coset 0 checks the table."""
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be at least 1")
+    cosets.check_max_cosets(max_cosets, presentation.rank)
     n = len(perms[0])
     if n > max_cosets:
         raise CapExceeded(

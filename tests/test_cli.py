@@ -177,6 +177,43 @@ def test_cayley_graph_over_the_coset_cap_exits_3(capsys, monkeypatch):
     assert (code, captured.out, captured.err) == (3, "", message)
 
 
+def test_make_enumerates_under_the_coset_cap(capsys, monkeypatch):
+    # a presentation family enumerates under the same cap as enumerate
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "10")
+    enumerated = run_cli_err(["enumerate", "<r | r^100>"], capsys)
+    assert enumerated == (3, "cap exceeded: coset cap 10 exceeded (10 live cosets)\n")
+    assert run_cli_err(["make", "cyclic", "100"], capsys) == enumerated
+
+
+def test_make_rejects_a_malformed_coset_cap(capsys, monkeypatch):
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "abc")
+    message = "error: CAYLEY_MAX_COSETS must be an integer, got 'abc'\n"
+    assert run_cli_err(["make", "cyclic", "4"], capsys) == (2, message)
+
+
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        ("99999999999999", "error: max_cosets must be at most 4194304 for 2 generators\n"),
+        ("0", "error: max_cosets must be at least 1\n"),
+    ],
+    ids=["above-the-ceiling", "zero"],
+)
+def test_both_graph_routes_accept_the_same_caps(cap, message, capsys, monkeypatch):
+    # flower16_fwd is a Cayley graph, read as its own coset table;
+    # flower16_rev is not, and its loops are enumerated
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", cap)
+    for name in ("flower16_fwd", "flower16_rev"):
+        assert run_cli_err(["fixture", name, "--analyze"], capsys) == (2, message), name
+
+
+def test_main_runs_the_handler_the_module_holds_now(capsys, monkeypatch):
+    # the parser is built once per process; the handler is found by name
+    cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_check_table", lambda args: ({}, ["replaced"]))
+    assert run_cli(["check-table", "any.txt"], capsys) == (0, "replaced\n")
+
+
 PARSER_REUSE = [
     ["enumerate", "<r,f | r^4=f^2=1, rfr=f>", "--json"],
     ["check-graph", "petersen_graph.json"],
@@ -420,6 +457,13 @@ def test_table_cap_exits_before_allocating(argv, order):
     # Pauli groups a table of 2^28 cells or Kronecker products of 2^10^12 rows
     out = run_cli_limited(argv)
     message = f"cap exceeded: table cap 16777216 cells exceeded (order {order})\n"
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
+
+
+def test_infinite_presentation_stops_at_the_default_cap():
+    # Z^2 never closes: each completeness check resumes where the last stopped
+    out = run_cli_limited(["enumerate", "<a,b | a b a^-1 b^-1>"])
+    message = "cap exceeded: coset cap 65536 exceeded (54951 live cosets)\n"
     assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
 
 

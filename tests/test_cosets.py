@@ -183,6 +183,46 @@ def _closure_order(perms, limit):
     return min(len(seen), limit + 1)
 
 
+class CheckedEnumerator(cosets._Enumerator):
+    """HLT as todd_coxeter runs it, checking the invariant that lets the
+    completeness check walk each row O(1) times: every live row below
+    first_open stays full through each coincidence pass, and first_open
+    never decreases.  ``walked`` counts the rows is_complete looks at."""
+
+    def __init__(self, presentation, max_cosets):
+        super().__init__(presentation, max_cosets)
+        self.walked = 0
+        self.lowest_open = 0
+
+    def check_first_open(self):
+        assert self.first_open >= self.lowest_open
+        self.lowest_open = self.first_open
+        table, parent = self.table, self.parent
+        for k in range(self.first_open):
+            assert parent[k] != k or None not in table[k], k
+
+    def process_coincidences(self):
+        super().process_coincidences()
+        self.check_first_open()
+
+    def is_complete(self):
+        self.check_first_open()
+        start = self.first_open
+        complete = super().is_complete()
+        self.walked += self.first_open - start + (not complete)
+        return complete
+
+
+def checked_todd_coxeter(presentation, max_cosets):
+    """todd_coxeter's table or CapExceeded, from a CheckedEnumerator whose
+    completeness check walked at most two rows per coset defined."""
+    enumerator = CheckedEnumerator(presentation, max_cosets)
+    try:
+        return enumerator.run()
+    finally:
+        assert enumerator.walked <= 2 * len(enumerator.table)
+
+
 LETTERS = st.tuples(st.integers(0, 1), st.sampled_from((1, -1)))
 WORDS = st.lists(st.lists(LETTERS, min_size=1, max_size=6), min_size=1, max_size=3)
 
@@ -195,7 +235,7 @@ def test_random_presentations_close_or_hit_the_cap(i, j, words):
     relators = tuple(r for r in (free_reduce(tuple(w)) for w in powers + words) if r)
     p = Presentation(("a", "b"), relators)
     try:
-        table = todd_coxeter(p, max_cosets=200)
+        table = checked_todd_coxeter(p, 200)
     except CapExceeded:
         return
     n = table.num_cosets
@@ -207,6 +247,24 @@ def test_random_presentations_close_or_hit_the_cap(i, j, words):
             assert table.trace(k, rel) == k
     # the columns act regularly: the group they generate has one element per coset
     assert _closure_order(table.forward, n) == n
+
+
+@pytest.mark.parametrize(
+    "text, max_cosets, order",
+    [
+        ("<a,b | a^20, b^25, a b a^-1 b^-1>", 65536, 500),
+        ("<a,b | a b a^-1 b^-1>", 3500, None),
+        ("<r,s | s r^40 s^-1, r s^2 r^-1, s^-1 r s r s^-1 s, r^80, s r^40 s^-1>", 65536, 80),
+        ("<a,b | a b a^-1 b^-2, b a b^-1 a^-2>", 65536, 1),
+    ],
+    ids=["abelian", "z2-capped", "conjugated-dihedral", "collapse"],
+)
+def test_first_open_is_monotone_and_the_completeness_walk_linear(text, max_cosets, order):
+    try:
+        num_cosets = checked_todd_coxeter(parse_presentation(text), max_cosets).num_cosets
+    except CapExceeded:
+        num_cosets = None
+    assert num_cosets == order
 
 
 def test_enumeration_resumes_when_first_complete_table_fails_check(monkeypatch):
