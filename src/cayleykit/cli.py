@@ -332,9 +332,6 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
         return report, human
     if not args.name:
         raise ValueError("fixture name required (or use --analyze-all)")
-    if args.name not in graphs.fixture_names():
-        known = ", ".join(graphs.fixture_names())
-        raise ValueError(f"unknown fixture {args.name!r} (known: {known})")
     graph = graphs.fixture(args.name)
     if args.dot:
         _write(args.dot, graphs.export_dot(graph))
@@ -376,14 +373,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, expect=True):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if expect:
-            p.add_argument(
-                "--expect",
-                metavar="NAME",
-                help="exit 4 unless the identified name equals NAME",
-            )
+        p.add_argument(
+            "--expect",
+            metavar="NAME",
+            help="exit 4 unless the identified name equals NAME",
+        )
 
     p = sub.add_parser("enumerate", help="enumerate a presentation and identify it")
     p.add_argument("presentation", help='e.g. "<r,f | r^4=f^2=1, r f r=f>"')

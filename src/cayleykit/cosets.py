@@ -316,11 +316,14 @@ def todd_coxeter(
 
 
 def check_max_cosets(max_cosets: int, rank: int):
-    """Raise ValueError unless 1 <= max_cosets <= MAX_TABLE_CELLS // (2 * rank):
-    a coset table with more rows would hold more cells than a group table may."""
+    """Raise ValueError unless 1 <= max_cosets <= MAX_TABLE_CELLS // (2 * max(rank, 8)):
+    a coset table with more rows would hold more cells than a group table may.
+    A row's list costs ~125 bytes besides ~15 per generator, so it is charged
+    as at least 16 cells: counted by cells alone, fewer than 8 generators
+    would admit more rows than fit in memory."""
     if max_cosets < 1:
         raise ValueError("max_cosets must be at least 1")
-    ceiling = MAX_TABLE_CELLS // (2 * rank)
+    ceiling = MAX_TABLE_CELLS // (2 * max(rank, 8))
     if max_cosets > ceiling:
         raise ValueError(f"max_cosets must be at most {ceiling} for {rank} generators")
 

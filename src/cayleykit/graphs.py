@@ -5,12 +5,13 @@ successions, undirected colors are perfect matchings).  The graph is a Cayley
 graph iff it is connected and the color permutations generate a group acting
 regularly on the nodes.  A connected graph's action is regular iff each
 generator's left multiplication, built along a BFS tree, commutes with every
-color; only a disconnected graph, or ``full_order``, lists the group's
-elements, up to ``MAX_TABLE_CELLS`` node images in all.  Either way the
-graph's loops present a group, which is identified.  A Cayley graph's color
-permutations are the closed coset table of that presentation, so its group
-is read from the graph; only a non-Cayley graph's loops are enumerated by
-Todd-Coxeter, since they present a proper quotient of the acting group.
+color; only a disconnected graph, or ``full_order`` on a graph that is not
+regular, lists the group's elements, up to ``MAX_TABLE_CELLS`` node images
+in all.  Either way the graph's loops present a group, which is identified.
+A Cayley graph's color permutations are the closed coset table of that
+presentation, so its group is read from the graph; only a non-Cayley
+graph's loops are enumerated by Todd-Coxeter, since they present a proper
+quotient of the acting group.
 """
 
 from __future__ import annotations
@@ -211,15 +212,18 @@ def is_cayley(
     """Regular-action test: connected and closure order equals node count.
 
     A transitive group has order n times the size of a point stabiliser, so
-    without ``full_order`` a connected graph needs no closure: its order is n
-    when the generators' left multiplications commute with every colour (the
-    action is regular), an O(n k^2) check for k colours, and past n otherwise."""
+    a connected graph's order is n when the generators' left multiplications
+    commute with every colour (the action is regular), an O(n k^2) check for
+    k colours, and past n otherwise; only ``full_order`` lists a non-regular
+    group's elements to count them."""
     perms = color_permutations(graph)
     n = graph.node_count
     tree = _spanning_tree(perms)
     connected = len(tree) == n - 1
-    if connected and not full_order:
-        order = n if _centralised_by_left_multiplications(perms, tree) else None
+    if connected and _centralised_by_left_multiplications(perms, tree):
+        order = n
+    elif connected and not full_order:
+        order = None
     else:
         order = _closure(perms, order_cap if full_order else n)
     return GraphVerdict(
@@ -388,14 +392,12 @@ def fixture_names() -> list[str]:
 
 
 def fixture(name: str) -> ColoredDigraph:
-    """One of the bundled puzzle graphs."""
+    """One of the bundled puzzle graphs; any other name raises GraphError."""
+    names = fixture_names()
+    if name not in names:
+        raise GraphError(f"unknown fixture {name!r} (known: {', '.join(names)})")
     path = resources.files("cayleykit").joinpath("fixtures", f"{name}.json")
-    try:
-        text = path.read_text()
-    except FileNotFoundError:
-        known = ", ".join(fixture_names())
-        raise GraphError(f"unknown fixture {name!r} (known: {known})") from None
-    return load_graph_json(text)
+    return load_graph_json(path.read_text())
 
 
 def _integer(value, what: str) -> int:

@@ -42,9 +42,6 @@ __all__ = [
     "pauli_group",
 ]
 
-DEFAULT_CLOSURE_CAP = 4096
-
-
 class LevelMismatch(ValueError):
     pass
 
@@ -328,11 +325,7 @@ def _render(code: int, level: int, dim: int) -> str:
     return "[" + ",".join(cells) + "]"
 
 
-def matrix_group_closure(
-    gens,
-    names=None,
-    cap: int = DEFAULT_CLOSURE_CAP,
-) -> Group:
+def matrix_group_closure(gens, names=None) -> Group:
     """BFS closure of monomial matrix generators; the result's element 0 is
     the identity matrix and elements are labeled by their rendered matrices.
 
@@ -342,7 +335,8 @@ def matrix_group_closure(
     exponents mod 2^level, and the BFS runs on that form: a row of m holding
     zeta^e in column c is, in m * g, g's row c with its exponent raised by e.
     A label is rendered from the same form as exactly the text
-    ``str(CycMatrix)`` gives.
+    ``str(CycMatrix)`` gives.  CapExceeded is raised before the element that
+    would make the group's table exceed MAX_TABLE_CELLS is stored.
     """
     gens = list(gens)
     if not gens:
@@ -377,10 +371,7 @@ def matrix_group_closure(
             at = index.get(prod)
             if at is None:
                 at = len(elements)
-                if at >= cap:
-                    raise CapExceeded(
-                        f"matrix closure cap {cap} exceeded", len(elements)
-                    )
+                check_table_cells(at + 1)
                 index[prod] = at
                 elements.append(prod)
             col.append(at)
@@ -406,7 +397,6 @@ def diquaternion_group(quaternion_order: int) -> Group:
     return matrix_group_closure(
         [rot_matrix(level), j_matrix(), f_matrix()],
         names=[rot_name, "j", "f"],
-        cap=8 * m,
     )
 
 
@@ -433,4 +423,4 @@ def pauli_group(qubits: int) -> Group:
                 full = factor if full is None else kronecker(full, factor)
             gens.append(full)
             names.append(f"{name}{q + 1}" if qubits > 1 else name)
-    return matrix_group_closure(gens, names=names, cap=4 ** (qubits + 1) + 1)
+    return matrix_group_closure(gens, names=names)

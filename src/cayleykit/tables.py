@@ -72,15 +72,10 @@ def parse_table(text: str) -> FiniteTable:
         raise TableError("no table content found")
     symbols = tuple(rows[0])
     index = {s: i for i, s in enumerate(symbols)}
-    n = len(symbols)
-    if len(rows) != n + 1:
-        raise TableError(f"expected {n} body rows, got {len(rows) - 1}")
     cells = []
     for i, row in enumerate(rows[1:]):
-        if len(row) != n:
-            raise TableError(f"row {i} is ragged: {len(row)} cells, expected {n}")
         try:
-            cells.append(tuple(index[s] for s in row))
+            cells.append(tuple(map(index.__getitem__, row)))
         except KeyError as missing:
             raise TableError(f"row {i} contains unknown symbol {missing.args[0]!r}") from None
     return FiniteTable(symbols, tuple(cells))

@@ -194,7 +194,7 @@ def test_make_rejects_a_malformed_coset_cap(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "cap, message",
     [
-        ("99999999999999", "error: max_cosets must be at most 4194304 for 2 generators\n"),
+        ("99999999999999", "error: max_cosets must be at most 1048576 for 2 generators\n"),
         ("0", "error: max_cosets must be at least 1\n"),
     ],
     ids=["above-the-ceiling", "zero"],
@@ -372,7 +372,7 @@ def test_max_cosets_env_below_one_is_usage_error(monkeypatch, capsys):
 def test_max_cosets_above_the_ceiling_is_usage_error(monkeypatch, capsys):
     # Z^2 is infinite: a cap this large would run until memory ran out
     argv = ["enumerate", "<a,b | a b a^-1 b^-1>"]
-    message = "error: max_cosets must be at most 4194304 for 2 generators\n"
+    message = "error: max_cosets must be at most 1048576 for 2 generators\n"
     assert run_cli_err([*argv, "--max-cosets=99999999999999"], capsys) == (2, message)
     monkeypatch.setenv("CAYLEY_MAX_COSETS", "99999999999999")
     assert run_cli_err(argv, capsys) == (2, message)
@@ -423,6 +423,47 @@ def test_duplicate_header_symbol_is_a_usage_error(tmp_path, capsys):
     assert (code, err) == (2, "error: duplicate header symbol\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("a b\na b\n", "error: expected 2 rows, got 1\n"),
+        ("a b\na b b\nb a\n", "error: row 0 has 3 cells, expected 2\n"),
+    ],
+    ids=["missing-row", "long-row"],
+)
+def test_table_shape_is_checked_by_the_table(text, message, tmp_path, capsys):
+    path = tmp_path / "table.txt"
+    path.write_text(text)
+    assert run_cli_err(["check-table", str(path)], capsys) == (2, message)
+
+
+def two_node_graph(*names):
+    return {"nodes": 2, "colors": [
+        {"name": name, "directed": False, "edges": [[0, 1]]} for name in names
+    ]}
+
+
+@pytest.mark.parametrize(
+    "graph, message",
+    [
+        (two_node_graph("r", "r"), "error: duplicate generator name 'r'\n"),
+        (two_node_graph("red color"), "error: invalid generator name 'red color'\n"),
+    ],
+    ids=["duplicate", "invalid"],
+)
+def test_colour_names_are_checked_as_generator_names(graph, message, tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    assert run_cli_err(["check-graph", str(path)], capsys) == (2, message)
+
+
+def test_unknown_fixture_is_a_usage_error(capsys):
+    code, err = run_cli_err(["fixture", "nosuch"], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown fixture 'nosuch' (known: flower16_fwd, ")
+    assert err.count("\n") == 1
+
+
 ADDRESS_SPACE = 600 * 2**20
 
 
@@ -464,6 +505,13 @@ def test_infinite_presentation_stops_at_the_default_cap():
     # Z^2 never closes: each completeness check resumes where the last stopped
     out = run_cli_limited(["enumerate", "<a,b | a b a^-1 b^-1>"])
     message = "cap exceeded: coset cap 65536 exceeded (54951 live cosets)\n"
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
+
+
+def test_infinite_presentation_stops_at_the_coset_ceiling():
+    # the largest cap two generators accept fits in the child's 600 MB
+    out = run_cli_limited(["enumerate", "<a,b | a b a^-1 b^-1>"], max_cosets="1048576")
+    message = "cap exceeded: coset cap 1048576 exceeded (875044 live cosets)\n"
     assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
 
 

@@ -121,7 +121,8 @@ def test_cap_exceeded_reports_count():
 
 
 def test_cap_ceiling_keeps_the_default_up_to_rank_128():
-    # the ceiling is MAX_TABLE_CELLS // (2 * rank) = 2^24 // (2 * rank) cosets
+    # the ceiling is MAX_TABLE_CELLS // (2 * max(rank, 8)) = 2^24 // (2 * max(rank, 8))
+    # cosets: a row is charged at least 16 cells, so 1 to 8 generators share one
     def trivial(rank):
         names = tuple(f"g{i}" for i in range(rank))
         return Presentation(names, tuple(((i, 1),) for i in range(rank)))
@@ -129,9 +130,10 @@ def test_cap_ceiling_keeps_the_default_up_to_rank_128():
     assert todd_coxeter(trivial(128)).num_cosets == 1
     with pytest.raises(ValueError, match="at most 65027 for 129 generators"):
         todd_coxeter(trivial(129))
-    assert todd_coxeter(trivial(2), max_cosets=4194304).num_cosets == 1
-    with pytest.raises(ValueError, match="at most 4194304 for 2 generators"):
-        todd_coxeter(trivial(2), max_cosets=4194305)
+    for rank, ceiling in ((1, 1048576), (2, 1048576), (8, 1048576), (16, 524288)):
+        assert todd_coxeter(trivial(rank), max_cosets=ceiling).num_cosets == 1
+        with pytest.raises(ValueError, match=f"at most {ceiling} for {rank} generators"):
+            todd_coxeter(trivial(rank), max_cosets=ceiling + 1)
 
 
 def test_heavy_coincidence_collapse():

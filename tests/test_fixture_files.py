@@ -1,6 +1,9 @@
-"""Cross-check the stored fixture edge lists against their constructions."""
+"""Cross-check the stored fixture edge lists against their constructions and
+against the generators in tools/."""
 
+import importlib.util
 import json
+import pathlib
 from importlib import resources
 
 import pytest
@@ -78,3 +81,31 @@ def test_fixture_loads_and_validates(name):
     assert [c.name for c in g.colors] == [c["name"] for c in json.loads(
         resources.files("cayleykit").joinpath("fixtures", f"{name}.json").read_text()
     )["colors"]]
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "tool, outputs",
+    [
+        ("make_fixtures", sorted((ROOT / "src" / "cayleykit" / "fixtures").glob("*.json"))),
+        ("make_puzzle_oracle", [ROOT / "tests" / "data" / "puzzle_oracle.json"]),
+    ],
+    ids=["fixtures", "oracle"],
+)
+def test_tool_reproduces_the_committed_data(tool, outputs, monkeypatch):
+    """What the generator's main() would write, compared byte for byte with
+    the committed files, with every write captured instead of made."""
+    spec = importlib.util.spec_from_file_location(tool, ROOT / "tools" / f"{tool}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    written = {}
+    monkeypatch.setattr(pathlib.Path, "mkdir", lambda self, **kwargs: None)
+    monkeypatch.setattr(
+        pathlib.Path, "write_text", lambda self, text: written.setdefault(self.resolve(), text)
+    )
+    module.main()
+    assert sorted(written) == [path.resolve() for path in outputs]
+    for path in outputs:
+        assert written[path.resolve()] == path.read_text(), path.name

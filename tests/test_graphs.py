@@ -1,5 +1,7 @@
 import json
+import os
 import pathlib
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +169,20 @@ def test_petersen_is_not_cayley():
     assert full.perm_group_order == 50
 
 
+def test_full_order_lists_the_group_only_when_the_action_is_not_regular(monkeypatch):
+    calls = []
+
+    def spy(perms, limit):
+        calls.append(limit)
+        return _closure(perms, limit)
+
+    monkeypatch.setattr("cayleykit.graphs._closure", spy)
+    verdict = is_cayley(build_cayley_graph(families.dihedral(8)), full_order=True)
+    assert (verdict.is_cayley, verdict.perm_group_order, calls) == (True, 16, [])
+    verdict = is_cayley(fixture("petersen"), full_order=True)
+    assert (verdict.is_cayley, verdict.perm_group_order, len(calls)) == (False, 50, 1)
+
+
 def test_disconnected_graph_not_cayley():
     red = EdgeColor("red", True, ((0, 1), (1, 0), (2, 3), (3, 2)))
     verdict = is_cayley(ColoredDigraph(4, (red,)))
@@ -284,6 +300,17 @@ def test_fixture_names_and_unknown():
     ]
     with pytest.raises(GraphError):
         fixture("moebius")
+
+
+def test_fixture_refuses_a_path_before_reading_it(tmp_path):
+    # both names lead to a readable copy of a fixture's JSON
+    root = resources.files("cayleykit").joinpath("fixtures")
+    outside = tmp_path / "evil.json"
+    outside.write_text(root.joinpath("petersen.json").read_text())
+    for name in ("../fixtures/petersen", os.path.relpath(tmp_path / "evil", str(root))):
+        with pytest.raises(GraphError) as err:
+            fixture(name)
+        assert str(err.value).startswith(f"unknown fixture {name!r} (known: ")
 
 
 def test_twist_fixture_inner_cycle():

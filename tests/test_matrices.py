@@ -220,8 +220,12 @@ def test_closure_diquaternion_sixteen():
 
 
 def test_closure_cap():
-    with pytest.raises(CapExceeded):
-        matrix_group_closure([rot_matrix(3), j_matrix(), f_matrix()], cap=16)
+    # diag(z, z^-1) has order 2^level: 4096 elements fit in a table, 4097 do not
+    assert matrix_group_closure([rot_matrix(12)]).order == isqrt(MAX_TABLE_CELLS)
+    with pytest.raises(CapExceeded) as err:
+        matrix_group_closure([rot_matrix(13)])
+    assert str(err.value) == f"table cap {MAX_TABLE_CELLS} cells exceeded (order 4097)"
+    assert err.value.cosets_defined == 4097
 
 
 def test_generator_orders_divide_group_order():
@@ -303,10 +307,19 @@ def test_non_monomial_generator_is_rejected(gen):
 #
 # The library closes over (permutation, exponent) codes and renders labels
 # from them.  This reference multiplies whole CycMatrix objects and labels
-# each element with str(CycMatrix); both must give the same Group.
+# each element with str(CycMatrix); both must give the same Group.  The
+# reference is slow (seconds per thousand elements), so a caller may bound
+# it: past ``bound`` elements it raises BoundReached with the labels of the
+# first ``bound``, which both closures list in the same BFS order.
 
 
-def reference_closure(gens, names=None, cap=matrices.DEFAULT_CLOSURE_CAP):
+class BoundReached(Exception):
+    def __init__(self, labels):
+        super().__init__(f"more than {len(labels)} elements")
+        self.labels = labels
+
+
+def reference_closure(gens, names=None, bound=None):
     gens = list(gens)
     if names is None:
         names = [f"g{k}" for k in range(len(gens))]
@@ -320,8 +333,8 @@ def reference_closure(gens, names=None, cap=matrices.DEFAULT_CLOSURE_CAP):
         for g, col in zip(gens, columns):
             prod = m * g
             if prod not in index:
-                if len(elements) >= cap:
-                    raise CapExceeded(f"matrix closure cap {cap} exceeded", len(elements))
+                if len(elements) == bound:
+                    raise BoundReached(tuple(map(str, elements)))
                 index[prod] = len(elements)
                 elements.append(prod)
             col.append(index[prod])
@@ -342,9 +355,9 @@ def closures_built_by(build):
     """The arguments of every matrix_group_closure call that ``build`` makes."""
     calls = []
 
-    def record(gens, names=None, cap=matrices.DEFAULT_CLOSURE_CAP):
-        calls.append((list(gens), names, cap))
-        return matrix_group_closure(gens, names, cap)
+    def record(gens, names=None):
+        calls.append((list(gens), names))
+        return matrix_group_closure(gens, names)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(matrices, "matrix_group_closure", record)
@@ -356,7 +369,7 @@ TEST_CLOSURES = [
     ([CycMatrix.identity(2)],),
     ([rot_matrix(2), j_matrix(), f_matrix()], ["i", "j", "f"]),
     ([rot_matrix(3), j_matrix(), f_matrix()],),
-    ([rot_matrix(3), j_matrix(), f_matrix()], None, 16),
+    ([rot_matrix(4), j_matrix()], ["r", "j"]),  # levels 4 and 1
     ([kronecker(j_matrix(2), f_matrix(2)), kronecker(rot_matrix(2), f_matrix(2))],),
     ([CycMatrix(1, [[-1]])],),
 ]
@@ -396,6 +409,15 @@ def monomial_generators(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(monomial_generators(), st.integers(1, 48))
-def test_random_monomial_closures_match_reference(gens, cap):
-    got = outcome(matrix_group_closure, gens, None, cap)
-    assert got == outcome(reference_closure, gens, None, cap)
+def test_random_monomial_closures_match_reference(gens, bound):
+    got = outcome(matrix_group_closure, gens)
+    try:
+        want = outcome(reference_closure, gens, None, bound)
+    except BoundReached as reached:
+        if got[0] == "cap":  # more than 4096 elements: no Group to compare
+            assert got[1:] == (f"table cap {MAX_TABLE_CELLS} cells exceeded (order 4097)", 4097)
+        else:
+            table, labels = got[:2]
+            assert len(table) > bound and labels[:bound] == reached.labels
+    else:
+        assert got == want

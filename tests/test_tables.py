@@ -60,9 +60,9 @@ def test_parse_rejects_unknown_symbol():
 
 
 def test_parse_rejects_ragged_rows():
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match="^row 0 has 3 cells, expected 2$"):
         parse_table("a b\na b b\nb a\n")
-    with pytest.raises(TableError):
+    with pytest.raises(TableError, match="^expected 2 rows, got 1$"):
         parse_table("a b\na b\n")
 
 

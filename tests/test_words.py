@@ -176,3 +176,21 @@ def test_presentation_invariants():
         Presentation(("r",), (w((0, 1), (0, -1)),))
     with pytest.raises(ValueError):
         Presentation(("r",), (w((1, 1)),))
+
+
+@pytest.mark.parametrize(
+    "generators, relators, message",
+    [
+        ((), (), "presentation needs at least one generator"),
+        (("red color",), (), "invalid generator name 'red color'"),
+        (("r", "s", "r"), (), "duplicate generator name 'r'"),
+        (("r",), (w(),), "empty relator"),
+        (("r",), (w((0, 1), (0, -1)),), "relator is not free-reduced"),
+        (("r", "s"), (w((0, 1), (2, 1)),), "relator refers to undeclared generator 2"),
+        (("r",), (w((0, 2)),), "bad exponent sign 2"),
+    ],
+)
+def test_presentation_rejection_messages(generators, relators, message):
+    with pytest.raises(ValueError) as err:
+        Presentation(generators, relators)
+    assert str(err.value) == message
