@@ -14,13 +14,11 @@ Each handler imports the layers it uses, so a run loads only those.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 import time
-from importlib import resources
 
 from .groups import CapExceeded, Group, identify, normal_closure, quotient as group_quotient
 from .words import evaluate_word, format_presentation, parse_presentation, parse_word
@@ -59,7 +57,7 @@ def group_report(G: Group) -> dict:
     return {
         "order": G.order,
         "identified": ident.describe(),
-        "fingerprint": dataclasses.asdict(G.fingerprint()),
+        "fingerprint": G.fingerprint()._asdict(),
     }
 
 
@@ -103,7 +101,7 @@ def cmd_identify(args) -> tuple[dict, list[str]]:
             "is_cayley": analysis.is_cayley,
             "order": analysis.presented_order,
             "identified": analysis.presented_name,
-            "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
+            "fingerprint": analysis.presented_group.fingerprint()._asdict(),
         }
     else:
         from . import tables
@@ -141,7 +139,7 @@ def _graph_report(name: str | None, analysis) -> dict:
         "presented_order": analysis.presented_order,
         "presented_group": analysis.presented_name,
         "acting_group": analysis.presented_name if verdict.is_cayley else None,
-        "fingerprint": dataclasses.asdict(analysis.presented_group.fingerprint()),
+        "fingerprint": analysis.presented_group.fingerprint()._asdict(),
     }
     if name is not None:
         report = {"fixture": name, **report}
@@ -332,15 +330,11 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
         return report, human
     if not args.name:
         raise ValueError("fixture name required (or use --analyze-all)")
-    graph = graphs.fixture(args.name)
+    raw = graphs.fixture_text(args.name)
+    graph = graphs.load_graph_json(raw) if args.dot or args.analyze else None
     if args.dot:
         _write(args.dot, graphs.export_dot(graph))
     if not args.analyze:
-        raw = (
-            resources.files("cayleykit")
-            .joinpath("fixtures", f"{args.name}.json")
-            .read_text()
-        )
         return {"fixture": args.name, "graph": json.loads(raw)}, [raw.rstrip("\n")]
     analysis = graphs.analyze(graph, max_cosets=default_max_cosets())
     report = _graph_report(args.name, analysis)

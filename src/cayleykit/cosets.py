@@ -36,7 +36,7 @@ the row count is the group order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import groupby
 
 from .groups import (
@@ -55,14 +55,11 @@ __all__ = [
 DEFAULT_MAX_COSETS = 65536
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Closed coset table: one forward and one inverse column per generator."""
+class CosetTable(namedtuple("CosetTable", "presentation forward backward num_cosets")):
+    """Closed coset table: one forward and one inverse column per generator,
+    ``forward[g][k]`` = k . g and ``backward[g][k]`` = k . g^-1."""
 
-    presentation: Presentation
-    forward: tuple[tuple[int, ...], ...]  # forward[g][k] = k . g
-    backward: tuple[tuple[int, ...], ...]  # backward[g][k] = k . g^-1
-    num_cosets: int
+    __slots__ = ()
 
     def trace(self, start: int, word: Word) -> int:
         k = start

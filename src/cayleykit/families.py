@@ -9,10 +9,9 @@ semidihedral, and semiabelian twists.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import cache
-from math import lcm
-from typing import Callable, NamedTuple
+from math import gcd, lcm, prod
 
 from .cosets import DEFAULT_MAX_COSETS, group_from_presentation
 from .groups import Fingerprint, Group, abelian_name, direct_product
@@ -27,11 +26,10 @@ __all__ = [
 GENERATOR_ALPHABET = "abcdeghklmnpqtuvw"  # skips f, r, s, and the like-i/j/z names
 
 
-class FamilySpec(NamedTuple):
-    """A family kind, a key of ``FAMILIES``, plus its integer parameters."""
+class FamilySpec(namedtuple("FamilySpec", "kind params", defaults=((),))):
+    """A family kind, a key of ``FAMILIES``, plus its tuple of integer parameters."""
 
-    kind: str
-    params: tuple[int, ...] = ()
+    __slots__ = ()
 
 
 def _cyclic_text(n: int) -> str:
@@ -85,17 +83,15 @@ def _twist_text(m: int, sign: int) -> str:
     return _sdp_text(m, m // 2 + sign)
 
 
-class Family(NamedTuple):
+class Family(namedtuple(
+    "Family", "cli arity labels text matrix_builder", defaults=(None, None)
+)):
     """A row of FAMILIES: the family's name on the command line, its parameter
     count (None: abelian's one list of factors), the parameter names of the
     usage line, and either the function writing its presentation text from
     the parameters or the name of its builder in ``matrices``."""
 
-    cli: str
-    arity: int | None
-    labels: tuple[str, ...]
-    text: Callable[..., str] | None = None
-    matrix_builder: str | None = None
+    __slots__ = ()
 
 
 FAMILIES = {
@@ -187,43 +183,92 @@ def involutive_exponents(m: int) -> list[int]:
     return [k for k in range(1, m) if (k * k) % m == 1]
 
 
-def _order18_special() -> list[tuple[str, Group]]:
-    c3xd3 = direct_product(cyclic(3), dihedral(3))
-    gen_dihedral = group_from_presentation(
-        parse_presentation(
-            "<a,b,s | a^3=b^3=s^2=1, a b a^-1 b^-1, s a s a, s b s b>"
-        )
-    )
-    return [("C_3xD_3", c3xd3), ("C_3:D_3", gen_dihedral)]
-
-
 # A catalog entry is (name, fingerprint, build): build() returns the group,
-# constructing it on the first call only.
+# constructing it on the first call only.  Every fingerprint follows from a
+# formula, so listing a catalog builds no group.
 
 
-def _built(name: str, G: Group):
-    return name, G.fingerprint(), lambda: G
+def _entry(name: str, histogram: Counter[int], center: int, derived: int, build):
+    """The entry of a group with this element-order histogram and these
+    centre and derived-subgroup orders; abelian when the centre is all of it."""
+    order = sum(histogram.values())
+    fp = Fingerprint(
+        order=order,
+        abelian=center == order,
+        exponent=lcm(*histogram),
+        order_histogram=tuple(sorted(histogram.items())),
+        center_order=center,
+        derived_order=derived,
+    )
+    return name, fp, cache(build)
+
+
+def _cyclic_orders(m: int) -> Counter[int]:
+    """The element orders of C_m: r^i has order m / gcd(i, m)."""
+    return Counter(m // gcd(i, m) for i in range(m))
+
+
+def _pair_orders(left, right) -> Counter[int]:
+    """The element orders of a direct product, from the factors' (order,
+    count) pairs: (x, y) has order lcm(|x|, |y|)."""
+    histogram: Counter[int] = Counter()
+    for p, a in left:
+        for q, b in right:
+            histogram[lcm(p, q)] += a * b
+    return histogram
+
+
+def _twisted_entry(name: str, m: int, k: int, build):
+    """C_m :_k C_2 = <r, s | r^m = s^2 = 1, s r s = r^k> for k != 1 (mod m):
+    (r^i s)^2 = r^(i(1+k)), so r^i s has twice that power's order; the centre
+    is {r^i : i(k-1) = 0 (mod m)} and the derived subgroup is <r^(k-1)>."""
+    histogram = _cyclic_orders(m)
+    histogram.update(2 * m // gcd(i * (1 + k), m) for i in range(m))
+    center = gcd(k - 1, m)
+    return _entry(name, histogram, center, m // center, build)
+
+
+def _generalized_dihedral_3x3() -> Group:
+    return group_from_presentation(
+        parse_presentation("<a,b,s | a^3=b^3=s^2=1, a b a^-1 b^-1, s a s a, s b s b>")
+    )
 
 
 @cache
 def _plain_entries(order: int) -> tuple:
-    """The entries of the plain families of one order, each group built once
-    per process."""
-    entries: list[tuple[str, Group]] = []
-    if order % 2 == 0:
-        m = order // 2
-        if m >= 3:
-            entries.append((f"D_{m}", dihedral(m)))
+    """The entries of the plain families of one order; each group is built
+    on its entry's first build() only."""
+    entries = []
+    m = order // 2
+    if order % 2 == 0 and m >= 3:
+        entries.append(_twisted_entry(f"D_{m}", m, m - 1, lambda: dihedral(m)))
         if m >= 8 and m & (m - 1) == 0:
-            entries.append((f"SD_{m}", semidihedral(m)))
-            entries.append((f"SA_{m}", semiabelian(m)))
+            entries.append(_twisted_entry(f"SD_{m}", m, m // 2 - 1, lambda: semidihedral(m)))
+            entries.append(_twisted_entry(f"SA_{m}", m, m // 2 + 1, lambda: semiabelian(m)))
     if order >= 8 and order & (order - 1) == 0:
-        entries.append((f"Q_{order}", quaternion(order)))
+        # Q: <r> of index 2, every r^i s of order 4; centre <r^m/2>, derived <r^2>
+        histogram = _cyclic_orders(m)
+        histogram[4] += m
+        entries.append(_entry(f"Q_{order}", histogram, 2, m // 2, lambda: quaternion(order)))
         if order >= 16:
-            entries.append((f"DQ_{order // 2}", diquaternion(order // 2)))
+            # DQ_m: besides orders 1, 2 and 4, 2^j elements of order 2^j
+            # for each 8 <= 2^j <= m/2
+            histogram = Counter({1: 1, 2: m // 2 + 3, 4: m // 2 + 4})
+            histogram.update({2**j: 2**j for j in range(3, (m // 2).bit_length())})
+            entries.append(_entry(f"DQ_{m}", histogram, 4, m // 4, lambda: diquaternion(m)))
     if order == 18:
-        entries.extend(_order18_special())
-    return tuple(_built(name, G) for name, G in entries)
+        # C_3 x D_3 by the product rule; C_3:D_3 inverts C_3 x C_3, so its
+        # other 9 elements are involutions, its centre is trivial and its
+        # derived subgroup is C_3 x C_3
+        d3 = _plain_entries(6)[0][1]
+        entries.append(_entry(
+            "C_3xD_3", _pair_orders(_cyclic_orders(3).items(), d3.order_histogram), 3, 3,
+            lambda: direct_product(cyclic(3), dihedral(3)),
+        ))
+        entries.append(_entry(
+            "C_3:D_3", Counter({1: 1, 2: 9, 3: 8}), 1, 9, _generalized_dihedral_3x3
+        ))
+    return tuple(entries)
 
 
 def _invariant_factor_lists(n: int) -> list[list[int]]:
@@ -245,8 +290,12 @@ def _invariant_factor_lists(n: int) -> list[list[int]]:
 
 @cache
 def _abelian_entry(factors: tuple[int, ...]):
-    """An abelian cofactor, built once per process."""
-    return _built(abelian_name(sorted(factors, reverse=True)), abelian(factors))
+    """An abelian cofactor, built on its first build() only."""
+    histogram = Counter({1: 1})
+    for d in factors:
+        histogram = _pair_orders(histogram.items(), _cyclic_orders(d).items())
+    name = abelian_name(sorted(factors, reverse=True))
+    return _entry(name, histogram, prod(factors), 1, lambda: abelian(factors))
 
 
 def _product_bases(order: int) -> tuple:
@@ -259,22 +308,16 @@ def _product_bases(order: int) -> tuple:
 
 def _product(left, right):
     """The entry of left x right.  Its fingerprint follows from the factors':
-    (x, y) has order lcm(|x|, |y|), and the centre and the derived subgroup of
-    a direct product are the products of the factors' ones."""
+    the centre and the derived subgroup of a direct product are the products
+    of the factors' ones."""
     (lname, lfp, lbuild), (rname, rfp, rbuild) = left, right
-    histogram: Counter[int] = Counter()
-    for p, a in lfp.order_histogram:
-        for q, b in rfp.order_histogram:
-            histogram[lcm(p, q)] += a * b
-    fp = Fingerprint(
-        order=lfp.order * rfp.order,
-        abelian=lfp.abelian and rfp.abelian,
-        exponent=lcm(lfp.exponent, rfp.exponent),
-        order_histogram=tuple(sorted(histogram.items())),
-        center_order=lfp.center_order * rfp.center_order,
-        derived_order=lfp.derived_order * rfp.derived_order,
+    return _entry(
+        f"{lname}x{rname}",
+        _pair_orders(lfp.order_histogram, rfp.order_histogram),
+        lfp.center_order * rfp.center_order,
+        lfp.derived_order * rfp.derived_order,
+        lambda: direct_product(lbuild(), rbuild()),
     )
-    return f"{lname}x{rname}", fp, cache(lambda: direct_product(lbuild(), rbuild()))
 
 
 @cache

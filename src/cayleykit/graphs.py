@@ -17,14 +17,15 @@ quotient of the acting group.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cache
 from importlib import resources
 from operator import itemgetter
 
 from . import cosets
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, Identification, _left_multiplications,
-    _spanning_tree, identify, subgroup_closure,
+    MAX_TABLE_CELLS, CapExceeded, Group, _left_multiplications, _spanning_tree, identify,
+    subgroup_closure,
 )
 from .words import Presentation, Word, format_word, inverse_word
 
@@ -41,6 +42,7 @@ __all__ = [
     "analyze",
     "fixture",
     "fixture_names",
+    "fixture_text",
     "load_graph_json",
     "dump_graph_json",
     "export_dot",
@@ -59,32 +61,31 @@ class GraphError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EdgeColor:
-    name: str
-    directed: bool
-    edges: tuple[tuple[int, int], ...]
+class EdgeColor(namedtuple("EdgeColor", "name directed edges")):
+    """A colour's name, whether its edges are directed, and its (u, v) edges."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ColoredDigraph:
-    node_count: int
-    colors: tuple[EdgeColor, ...]
-    labels: tuple[str, ...] | None = None
+class ColoredDigraph(namedtuple("ColoredDigraph", "node_count colors labels")):
+    """Nodes 0..node_count-1, a tuple of EdgeColors, and optional unique labels."""
 
-    def __post_init__(self):
-        if self.node_count < 1:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, node_count: int, colors: tuple[EdgeColor, ...], labels=None):
+        if node_count < 1:
             raise GraphError("graph needs at least one node")
-        if self.labels is not None and len(self.labels) != self.node_count:
+        if labels is not None and len(labels) != node_count:
             raise GraphError("one label per node required")
         first: dict[str, int] = {}
-        for node, label in enumerate(self.labels or ()):
+        for node, label in enumerate(labels or ()):
             if first.setdefault(label, node) != node:
                 raise GraphError(f"nodes {first[label]} and {node} share label {label!r}")
-        for color in self.colors:
+        for color in colors:
             seen = set()
             for u, v in color.edges:
-                if not (0 <= u < self.node_count and 0 <= v < self.node_count):
+                if not (0 <= u < node_count and 0 <= v < node_count):
                     raise GraphError(
                         f"color {color.name!r}: edge ({u},{v}) out of range"
                     )
@@ -94,6 +95,7 @@ class ColoredDigraph:
                         f"color {color.name!r}: duplicate edge ({u},{v})"
                     )
                 seen.add(key)
+        return super().__new__(cls, node_count, colors, labels)
 
     def label_of(self, node: int) -> str:
         return self.labels[node] if self.labels else str(node)
@@ -194,14 +196,14 @@ def _centralised_by_left_multiplications(perms, tree) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GraphVerdict:
-    connected: bool
-    color_perms: tuple[tuple[int, ...], ...]
-    perm_group_order: int | None  # None when only a lower bound is known
-    order_exceeds_nodes: bool
-    order_capped: bool
-    is_cayley: bool
+class GraphVerdict(namedtuple(
+    "GraphVerdict",
+    "connected color_perms perm_group_order order_exceeds_nodes order_capped is_cayley",
+)):
+    """The regularity verdict; ``perm_group_order`` is None when only a lower
+    bound is known."""
+
+    __slots__ = ()
 
 
 def is_cayley(
@@ -309,12 +311,13 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     return Presentation(names, tuple(relators))
 
 
-@dataclass(frozen=True)
-class GraphReport:
-    verdict: GraphVerdict
-    presentation: Presentation
-    presented_group: Group
-    presented_identification: Identification
+class GraphReport(namedtuple(
+    "GraphReport", "verdict presentation presented_group presented_identification"
+)):
+    """A GraphVerdict, the loop Presentation, the Group it presents and that
+    group's Identification."""
+
+    __slots__ = ()
 
     @property
     def is_cayley(self) -> bool:
@@ -386,18 +389,30 @@ def analyze(
     )
 
 
-def fixture_names() -> list[str]:
+@cache
+def _fixture_dir():
+    """The bundled fixtures directory and its graph names, listed once per process."""
     root = resources.files("cayleykit").joinpath("fixtures")
-    return sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    names = sorted(p.name[: -len(".json")] for p in root.iterdir() if p.name.endswith(".json"))
+    return root, tuple(names)
+
+
+def fixture_names() -> list[str]:
+    return list(_fixture_dir()[1])
+
+
+def fixture_text(name: str) -> str:
+    """The JSON text of one of the bundled puzzle graphs; any other name
+    raises GraphError before anything is read."""
+    root, names = _fixture_dir()
+    if name not in names:
+        raise GraphError(f"unknown fixture {name!r} (known: {', '.join(names)})")
+    return root.joinpath(f"{name}.json").read_text()
 
 
 def fixture(name: str) -> ColoredDigraph:
     """One of the bundled puzzle graphs; any other name raises GraphError."""
-    names = fixture_names()
-    if name not in names:
-        raise GraphError(f"unknown fixture {name!r} (known: {', '.join(names)})")
-    path = resources.files("cayleykit").joinpath("fixtures", f"{name}.json")
-    return load_graph_json(path.read_text())
+    return load_graph_json(fixture_text(name))
 
 
 def _integer(value, what: str) -> int:

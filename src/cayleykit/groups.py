@@ -19,8 +19,7 @@ closure, and invariant factors read off the order histogram.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd, lcm
 from operator import eq, itemgetter
@@ -68,16 +67,14 @@ class CapExceeded(RuntimeError):
         self.cosets_defined = cosets_defined
 
 
-@dataclass(frozen=True)
-class Fingerprint:
-    """Isomorphism invariants, compared before any isomorphism search."""
+class Fingerprint(namedtuple(
+    "Fingerprint",
+    "order abelian exponent order_histogram center_order derived_order",
+)):
+    """Isomorphism invariants, compared before any isomorphism search:
+    ``order_histogram`` holds (element order, count) pairs, ascending."""
 
-    order: int
-    abelian: bool
-    exponent: int
-    order_histogram: tuple[tuple[int, int], ...]
-    center_order: int
-    derived_order: int
+    __slots__ = ()
 
 
 class Group:
@@ -339,14 +336,16 @@ def _first_witness(rows) -> tuple[int, int, int] | None:
     return None
 
 
-@dataclass(frozen=True)
-class Subgroup:
-    parent: Group
-    members: tuple[int, ...]
+class Subgroup(namedtuple("Subgroup", "parent members")):
+    """The sorted ``members`` (a tuple of elements) of a subgroup of ``parent``."""
 
-    def __post_init__(self):
-        if not self.members or self.members[0] != 0:
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, parent: Group, members: tuple[int, ...]):
+        if not members or members[0] != 0:
             raise GroupError("subgroup must contain the identity as least member")
+        return super().__new__(cls, parent, members)
 
     @property
     def order(self) -> int:
@@ -589,10 +588,10 @@ def abelian_name(factors) -> str:
     return "x".join(f"C_{d}" for d in factors)
 
 
-@dataclass(frozen=True)
-class Identification:
-    name: str | None
-    fingerprint: Fingerprint
+class Identification(namedtuple("Identification", "name fingerprint")):
+    """A catalog name (None when unrecognized) and the group's Fingerprint."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         if self.name is not None:

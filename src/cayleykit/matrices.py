@@ -19,7 +19,6 @@ that form as the exact text ``str(CycMatrix)`` gives.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .groups import (
     MAX_TABLE_CELLS,
@@ -46,20 +45,27 @@ class LevelMismatch(ValueError):
     pass
 
 
-@dataclass(frozen=True, eq=False)
 class CycInt:
-    """Element of Z[zeta_{2^level}] in reduced coefficient form."""
+    """Element of Z[zeta_{2^level}] in reduced coefficient form; immutable.
 
-    level: int
-    coeffs: tuple[int, ...]
+    Not a tuple: equality and hashing are by value across levels, and no
+    tuple comparison, length or concatenation applies."""
 
-    def __post_init__(self):
-        if self.level < 1:
+    __slots__ = ("level", "coeffs")
+
+    def __init__(self, level: int, coeffs: tuple[int, ...]):
+        if level < 1:
             raise ValueError("level must be at least 1")
-        if len(self.coeffs) != 1 << (self.level - 1):
-            raise ValueError(
-                f"level {self.level} needs {1 << (self.level - 1)} coefficients"
-            )
+        if len(coeffs) != 1 << (level - 1):
+            raise ValueError(f"level {level} needs {1 << (level - 1)} coefficients")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CycInt is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"CycInt is immutable: cannot delete {name!r}")
 
     @staticmethod
     def from_int(value: int, level: int = 1) -> CycInt:

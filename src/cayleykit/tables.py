@@ -7,9 +7,9 @@ starting with '#' are comments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .groups import Group, Identification, identify
+from .groups import Group, identify
 from .groups import _first_witness, _latin_violation, _light_test, _two_sided_identity
 
 __all__ = [
@@ -33,25 +33,28 @@ class TableError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteTable:
-    symbols: tuple[str, ...]
-    cells: tuple[tuple[int, ...], ...]
+class FiniteTable(namedtuple("FiniteTable", "symbols cells")):
+    """A square table: n distinct header symbols and n rows of n symbol
+    indices, cell (i, j) being symbol i times symbol j."""
 
-    def __post_init__(self):
-        n = len(self.symbols)
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, symbols: tuple[str, ...], cells: tuple[tuple[int, ...], ...]):
+        n = len(symbols)
         if n == 0:
             raise TableError("table needs at least one symbol")
-        if len(set(self.symbols)) != n:
+        if len(set(symbols)) != n:
             raise TableError("duplicate header symbol")
-        if len(self.cells) != n:
-            raise TableError(f"expected {n} rows, got {len(self.cells)}")
-        for i, row in enumerate(self.cells):
+        if len(cells) != n:
+            raise TableError(f"expected {n} rows, got {len(cells)}")
+        for i, row in enumerate(cells):
             if len(row) != n:
                 raise TableError(f"row {i} has {len(row)} cells, expected {n}")
             for x in row:
                 if not 0 <= x < n:
                     raise TableError(f"cell value {x} out of range in row {i}")
+        return super().__new__(cls, symbols, cells)
 
     @property
     def order(self) -> int:
@@ -92,11 +95,11 @@ def render_table(G: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class LatinViolation:
-    kind: str  # "row" or "column"
-    index: int
-    symbol: str
+class LatinViolation(namedtuple("LatinViolation", "kind index symbol")):
+    """The first repeat: ``kind`` "row" or "column", the line's index, and the
+    symbol it repeats."""
+
+    __slots__ = ()
 
 
 def latin_check(t: FiniteTable) -> LatinViolation | None:
@@ -119,12 +122,13 @@ def associativity_witness(t: FiniteTable) -> tuple[int, int, int] | None:
     return _first_witness(t.cells)
 
 
-@dataclass(frozen=True)
-class Rejection:
-    reason: str
-    latin_violation: LatinViolation | None = None
-    witness: tuple[str, str, str] | None = None
-    precheck: str | None = None
+class Rejection(namedtuple(
+    "Rejection", "reason latin_violation witness precheck", defaults=(None, None, None)
+)):
+    """Why a table is not a group: the failed axiom, with its LatinViolation
+    or its non-associative symbol triple, and the Lagrange precheck if it fired."""
+
+    __slots__ = ()
 
     def describe(self) -> str:
         parts = [self.reason]
@@ -139,18 +143,16 @@ class Rejection:
         return "; ".join(parts)
 
 
-@dataclass(frozen=True)
-class TableGroupResult:
-    """The verdict on a table, with what each axiom check found: the first
-    Latin violation, the identity symbol, and the lexicographically first
-    non-associative triple (None when the table is associative)."""
+class TableGroupResult(namedtuple(
+    "TableGroupResult",
+    "group identification rejection latin_violation identity witness",
+)):
+    """The verdict on a table: its Group and Identification, or its
+    Rejection; and what each axiom check found: the first Latin violation,
+    the identity symbol, and the lexicographically first non-associative
+    triple (None when the table is associative)."""
 
-    group: Group | None
-    identification: Identification | None
-    rejection: Rejection | None
-    latin_violation: LatinViolation | None
-    identity: str | None
-    witness: tuple[int, int, int] | None
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -8,7 +8,7 @@ Multiplication is read left to right throughout the package.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 __all__ = [
     "Letter",
@@ -74,33 +74,33 @@ def word_power(word: Word, exponent: int) -> Word:
     return free_reduce(tuple(word) * exponent)
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(namedtuple("Presentation", "generators relators")):
     """Generators plus free-reduced relator words."""
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        if not self.generators:
+    def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
+        if not generators:
             raise ValueError("presentation needs at least one generator")
         seen = set()
-        for name in self.generators:
+        for name in generators:
             if not GENERATOR_NAME.fullmatch(name):
                 raise ValueError(f"invalid generator name {name!r}")
             if name in seen:
                 raise ValueError(f"duplicate generator name {name!r}")
             seen.add(name)
-        for rel in self.relators:
+        for rel in relators:
             if not rel:
                 raise ValueError("empty relator")
             if rel != free_reduce(rel):
                 raise ValueError("relator is not free-reduced")
             for gen, sign in rel:
-                if not 0 <= gen < len(self.generators):
+                if not 0 <= gen < len(generators):
                     raise ValueError(f"relator refers to undeclared generator {gen}")
                 if sign not in (1, -1):
                     raise ValueError(f"bad exponent sign {sign}")
+        return super().__new__(cls, generators, relators)
 
     @property
     def rank(self) -> int:

@@ -179,19 +179,70 @@ def test_catalog_lists_each_group_once():
 
 
 def test_catalog_fingerprints_follow_from_the_factors():
-    # a product entry's fingerprint is computed from its factors' without
-    # building it; it must equal the fingerprint of the group it builds
-    for order in range(1, 65):
-        for name, fp, build in families.nonabelian_catalog(order):
-            G = build()
-            assert G.order == order, name
-            assert G.fingerprint() == fp, name
-            assert build() is G, name
+    # every entry's fingerprint is computed by a formula without building
+    # the group; it must equal the fingerprint of the group it builds
+    nonabelian = [
+        (order, entry) for order in range(1, 65) for entry in families.nonabelian_catalog(order)
+    ]
+    abelian = [
+        (order, families._abelian_entry(tuple(factors)))
+        for order in range(1, 65)
+        for factors in families._invariant_factor_lists(order)
+    ]
+    assert len(abelian) == 117  # every abelian group of order <= 64
+    for order, (name, fp, build) in nonabelian + abelian:
+        G = build()
+        assert G.order == order, name
+        assert G.fingerprint() == fp, name
+        assert build() is G, name
+
+
+def catalog_builds(monkeypatch, action) -> list:
+    """What ``action`` builds with every catalog entry listed anew and
+    unbuilt: each enumeration, matrix closure and direct product, as
+    (builder name, its first argument)."""
+    from cayleykit import matrices
+
+    for listing in (families._plain_entries, families._abelian_entry,
+                    families.nonabelian_catalog):
+        listing.cache_clear()
+    built = []
+
+    def spy(name, builder):
+        def call(first, *args, **kwargs):
+            built.append((name, first))
+            return builder(first, *args, **kwargs)
+        return call
+
+    for module, name in ((families, "group_from_presentation"),
+                         (families, "direct_product"), (matrices, "matrix_group_closure")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    action()
+    return built
+
+
+def test_listing_the_catalog_builds_no_group(monkeypatch):
+    assert catalog_builds(monkeypatch, lambda: families.nonabelian_catalog(64)) == []
+    assert "DQ_32" in {name for name, _, _ in families.nonabelian_catalog(64)}
+
+
+def test_unmatched_order_64_group_builds_no_catalog_entry(monkeypatch):
+    pauli2 = families.pauli(2)
+    assert catalog_builds(monkeypatch, lambda: identify(pauli2)) == []
+
+
+def test_identify_builds_only_the_matching_entry(monkeypatch):
+    G = families.sdp_c2(32, 15)
+    sd32 = families.family_presentation(FamilySpec("semidihedral", (32,)))
+    assert catalog_builds(monkeypatch, lambda: identify(G)) == [
+        ("group_from_presentation", sd32)
+    ]
+    assert identify(G).name == "SD_32"
 
 
 def products_built(monkeypatch, action) -> int:
     """The direct products built by ``action`` with the catalog listed anew
-    (its plain entries and abelian cofactors stay built)."""
+    (the plain entries and abelian cofactors built so far stay built)."""
     for order in range(1, 65):
         families.nonabelian_catalog(order)
     built = []

@@ -16,15 +16,12 @@ import cayleykit
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 
-REPORT = (
-    "import json, sys; print(json.dumps(sorted("
-    "m.split('.', 1)[1] for m in sys.modules if m.startswith('cayleykit.'))))"
-)
+REPORT = "import json, sys; print(json.dumps(sorted(sys.modules)))"
 
 
-def loaded_layers(code: str) -> set[str]:
-    """The cayleykit submodules in sys.modules after running ``code`` in a
-    fresh interpreter; the CLI's stdout is discarded."""
+def loaded_modules(code: str) -> set[str]:
+    """The names in sys.modules after running ``code`` in a fresh
+    interpreter; the CLI's stdout is discarded."""
     script = (
         "import contextlib, io\n"
         f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
@@ -36,6 +33,19 @@ def loaded_layers(code: str) -> set[str]:
         timeout=60, check=True,
     )
     return set(json.loads(out.stdout))
+
+
+def loaded_layers(code: str) -> set[str]:
+    """The cayleykit submodules loaded by running ``code`` in a fresh interpreter."""
+    return {
+        m.split(".", 1)[1] for m in loaded_modules(code) if m.startswith("cayleykit.")
+    }
+
+
+def modules_added(code: str) -> set[str]:
+    """The modules that ``code`` loads beyond what interpreter start-up (and
+    the report's own imports) load, so a site hook importing one does not count."""
+    return loaded_modules(code) - loaded_modules("pass")
 
 
 def cli_layers(argv) -> set[str]:
@@ -54,6 +64,33 @@ def test_layer_attributes_load_on_first_access():
 
 def test_cli_import_loads_only_groups_and_words():
     assert loaded_layers("import cayleykit.cli") == {"cli", "groups", "words"}
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert not modules_added("import cayleykit.cli") & {"dataclasses", "inspect"}
+
+
+def test_every_layer_loads_without_dataclasses():
+    layers = ("cosets", "graphs", "tables", "families", "matrices")
+    added = modules_added(f"from cayleykit import {', '.join(layers)}")
+    assert {f"cayleykit.{layer}" for layer in layers} <= added
+    assert "dataclasses" not in added
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "dihedral", "8"],
+        ["make", "sdp", "32", "15"],
+        ["identify", "--presentation", "<r,f | r^8=f^2=1, r f r=f>"],
+    ],
+    ids=["dihedral-8", "sdp-32-15", "identify-order-16-dihedral"],
+)
+def test_catalog_match_off_the_diquaternion_loads_no_matrices(argv):
+    # orders 16 and 64 list a DQ entry; only a matching fingerprint builds it
+    loaded = cli_layers(argv)
+    assert "families" in loaded
+    assert "matrices" not in loaded
 
 
 def test_enumerate_cyclic_loads_no_graphs_tables_or_catalog():
