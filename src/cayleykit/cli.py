@@ -31,11 +31,6 @@ EXIT_CAP = 3
 EXIT_EXPECT = 4
 
 
-class ExpectMismatch(Exception):
-    def __init__(self, expected: str, actual: str):
-        super().__init__(f"expected {expected!r}, got {actual!r}")
-
-
 def default_max_cosets() -> int:
     value = os.environ.get("CAYLEY_MAX_COSETS")
     if value is None:
@@ -45,11 +40,6 @@ def default_max_cosets() -> int:
         return int(value)
     except ValueError:
         raise ValueError(f"CAYLEY_MAX_COSETS must be an integer, got {value!r}")
-
-
-def check_expect(expected: str | None, actual: str):
-    if expected is not None and expected != actual:
-        raise ExpectMismatch(expected, actual)
 
 
 def group_report(G: Group) -> dict:
@@ -62,11 +52,12 @@ def group_report(G: Group) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (report dict, human lines)
+# subcommand handlers: each returns (report dict, human lines, name), where
+# name is what --expect is checked against, or None where it does not apply
 # ---------------------------------------------------------------------------
 
 
-def cmd_enumerate(args) -> tuple[dict, list[str]]:
+def cmd_enumerate(args) -> tuple[dict, list[str], str | None]:
     from . import cosets
     presentation = parse_presentation(args.presentation)
     cap = default_max_cosets() if args.max_cosets is None else args.max_cosets
@@ -77,16 +68,15 @@ def cmd_enumerate(args) -> tuple[dict, list[str]]:
         "status": "closed",
         **group_report(G),
     }
-    check_expect(args.expect, report["identified"])
     human = [
         f"presentation: {report['presentation']}",
         f"order: {G.order}",
         f"identified: {report['identified']}",
     ]
-    return report, human
+    return report, human, report["identified"]
 
 
-def cmd_identify(args) -> tuple[dict, list[str]]:
+def cmd_identify(args) -> tuple[dict, list[str], str | None]:
     if args.presentation:
         from . import cosets
         presentation = parse_presentation(args.presentation)
@@ -115,13 +105,11 @@ def cmd_identify(args) -> tuple[dict, list[str]]:
                 "rejected": result.rejection.describe(),
             }
             human = [f"not a group: {result.rejection.describe()}"]
-            check_expect(args.expect, "not-a-group")
-            return report, human
-    check_expect(args.expect, report["identified"])
+            return report, human, "not-a-group"
     human = [f"order: {report['order']}", f"identified: {report['identified']}"]
     if "is_cayley" in report:
         human.insert(0, f"cayley: {'yes' if report['is_cayley'] else 'no'}")
-    return report, human
+    return report, human, report["identified"]
 
 
 def _graph_report(name: str | None, analysis) -> dict:
@@ -171,7 +159,7 @@ def _graph_human(report: dict) -> list[str]:
     return lines
 
 
-def cmd_check_graph(args) -> tuple[dict, list[str]]:
+def cmd_check_graph(args) -> tuple[dict, list[str], str | None]:
     from . import graphs
     graph = graphs.load_graph_json(_read(args.file))
     analysis = graphs.analyze(
@@ -180,11 +168,10 @@ def cmd_check_graph(args) -> tuple[dict, list[str]]:
     report = _graph_report(None, analysis)
     if args.dot:
         _write(args.dot, graphs.export_dot(graph))
-    check_expect(args.expect, report["presented_group"])
-    return report, _graph_human(report)
+    return report, _graph_human(report), report["presented_group"]
 
 
-def cmd_check_table(args) -> tuple[dict, list[str]]:
+def cmd_check_table(args) -> tuple[dict, list[str], str | None]:
     from . import tables
     t = tables.parse_table(_read(args.file))
     result = tables.group_from_table(t)
@@ -225,8 +212,7 @@ def cmd_check_table(args) -> tuple[dict, list[str]]:
     human.append(
         f"group: {report['group']}" if result.ok else f"rejected: {report['rejected']}"
     )
-    check_expect(args.expect, report["group"] if result.ok else "not-a-group")
-    return report, human
+    return report, human, report["group"] if result.ok else "not-a-group"
 
 
 FAMILY_USAGE = (
@@ -248,7 +234,7 @@ def _family_spec(family: str, params: list[str]):
     return families.FamilySpec(kind, tuple(int(x) for x in params))
 
 
-def cmd_make(args) -> tuple[dict, list[str]]:
+def cmd_make(args) -> tuple[dict, list[str], str | None]:
     from . import families
     spec = _family_spec(args.family, args.params)
     G = families.make(spec, default_max_cosets())
@@ -271,11 +257,10 @@ def cmd_make(args) -> tuple[dict, list[str]]:
     if args.dot:
         from . import graphs
         _write(args.dot, graphs.export_dot(graphs.build_cayley_graph(G)))
-    check_expect(args.expect, report["identified"])
-    return report, human
+    return report, human, report["identified"]
 
 
-def cmd_quotient(args) -> tuple[dict, list[str]]:
+def cmd_quotient(args) -> tuple[dict, list[str], str | None]:
     from . import cosets
     presentation = parse_presentation(args.presentation)
     G = cosets.group_from_presentation(presentation, default_max_cosets())
@@ -305,11 +290,10 @@ def cmd_quotient(args) -> tuple[dict, list[str]]:
         text = tables.render_table(Q)
         report["table"] = text
         human.append(text.rstrip("\n"))
-    check_expect(args.expect, report["identified"])
-    return report, human
+    return report, human, report["identified"]
 
 
-def cmd_fixture(args) -> tuple[dict, list[str]]:
+def cmd_fixture(args) -> tuple[dict, list[str], str | None]:
     from . import graphs
     if args.analyze_all:
         names = graphs.fixture_names()
@@ -327,7 +311,7 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
                 f"{r['fixture']}: {verdict}; presented {r['presented_group']}"
                 f" (order {r['presented_order']})"
             )
-        return report, human
+        return report, human, None
     if not args.name:
         raise ValueError("fixture name required (or use --analyze-all)")
     raw = graphs.fixture_text(args.name)
@@ -335,11 +319,10 @@ def cmd_fixture(args) -> tuple[dict, list[str]]:
     if args.dot:
         _write(args.dot, graphs.export_dot(graph))
     if not args.analyze:
-        return {"fixture": args.name, "graph": json.loads(raw)}, [raw.rstrip("\n")]
+        return {"fixture": args.name, "graph": json.loads(raw)}, [raw.rstrip("\n")], None
     analysis = graphs.analyze(graph, max_cosets=default_max_cosets())
     report = _graph_report(args.name, analysis)
-    check_expect(args.expect, report["presented_group"])
-    return report, _graph_human(report)
+    return report, _graph_human(report), report["presented_group"]
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +422,16 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     warnings: list[str] = []
     try:
-        report, human = handler(args)
-    except ExpectMismatch as exc:
-        print(f"expectation failed: {exc}", file=sys.stderr)
-        return EXIT_EXPECT
+        report, human, name = handler(args)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.expect is not None and name is not None and args.expect != name:
+        print(f"expectation failed: expected {args.expect!r}, got {name!r}", file=sys.stderr)
+        return EXIT_EXPECT
     if args.json:
         document = {
             "schema_version": SCHEMA_VERSION,

@@ -1,15 +1,14 @@
 """Explicit finite groups as multiplication tables, plus structural queries.
 
-Element 0 is always the identity.  A table is validated once, where it
-enters the program: a table from outside (``Group(table)``) must be a Latin
-square with identity 0 and pass Light's associativity test.  A regular action
-(a closed coset table, a matrix closure, a Cayley graph's colours) enters
-through ``group_from_action``, the one constructor that turns generator
-columns into a table.  Its tables, direct products, quotients and subgroups
-are groups by construction and enter with ``trusted=True``, which skips the
-Latin-square and associativity scans.  A dense table holds at most
-``MAX_TABLE_CELLS`` cells; a larger one is refused with ``CapExceeded``
-before any row is built.
+Element 0 is always the identity.  Every table the program builds comes
+from ``group_from_action``, which turns the right action of a generating
+set on the elements (a closed coset table, a matrix closure, a Cayley
+graph's colours, a quotient's cosets, a direct product's pairs, a checked
+table's symbols) into a table that is a group by construction.
+``Group(table)`` is for tables from outside, and for ``Subgroup.as_group``:
+each must be a Latin square with identity 0 and pass Light's associativity
+test.  A dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger one
+is refused with ``CapExceeded`` before any row is built.
 
 Structural invariants come from the greedy generating sequence
 (``_generating_sequence``) and the element orders, which each ``Group``
@@ -85,25 +84,17 @@ class Group:
         "_orders", "_centralizers", "_fp",
     )
 
-    def __init__(
-        self,
-        table,
-        element_names=None,
-        generators=(),
-        trusted: bool = False,
-        inverse=None,
-    ):
-        """``trusted=True`` is only for tables that are groups by construction;
-        any other table is checked against the group axioms here.  A trusted
-        constructor may pass ``inverse``; otherwise each row is scanned for 0."""
+    def __init__(self, table, element_names=None, generators=()):
+        """A table from outside, checked against the group axioms here;
+        ``group_from_action`` builds every table of the program's own."""
         rows = tuple(tuple(row) for row in table)
-        if not trusted:
-            _check_axioms(rows)
+        _check_axioms(rows)
+        self._fill(rows, (row.index(0) for row in rows), element_names, generators)
+
+    def _fill(self, rows, inverse, element_names, generators):
         n = len(rows)
         self.order = n
         self.table = rows
-        if inverse is None:
-            inverse = (row.index(0) for row in rows)
         self.inverse = tuple(inverse)
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
@@ -199,9 +190,8 @@ def check_table_cells(order: int):
 
 def _spanning_tree(columns) -> list[tuple[int, int, int]]:
     """(x, parent, k) with x = parent * generator k, for each point x != 0
-    that a BFS from 0 reaches, in BFS order."""
-    n = len(columns[0])
-    seen = [True] + [False] * (n - 1)
+    that a BFS from 0 reaches, in BFS order; empty without columns."""
+    seen = [True] + [False] * (len(columns[0]) - 1 if columns else 0)
     reached = [0]
     tree = []
     for y in reached:  # a BFS queue, appended to while walked
@@ -228,14 +218,15 @@ def _left_multiplications(columns, tree) -> list[list[int]]:
 def group_from_action(columns, element_names=None, generators=()) -> Group:
     """The group acting regularly on points 0..n-1, with point 0 as identity.
 
-    ``columns[k][x]`` is point x times generator k.  A BFS from 0 gives the
-    tree x = parent(x) * s(x).  Along it, each row follows from its parent's
-    and a generator's left multiplication: row(y * s)[x] = row(y)[L_s(x)],
-    and each inverse from its parent's: (y * s)^-1 = s^-1 * y^-1.  Raises
-    GroupError unless every point is reached, CapExceeded if the table would
-    exceed MAX_TABLE_CELLS.
+    ``columns[k][x]`` is point x times generator k; no columns give the
+    trivial group.  A BFS from 0 gives the tree x = parent(x) * s(x).  Along
+    it, each row follows from its parent's and a generator's left
+    multiplication: row(y * s)[x] = row(y)[L_s(x)], and each inverse from its
+    parent's: (y * s)^-1 = s^-1 * y^-1.  The table is a group by
+    construction, so no axiom is checked.  Raises GroupError unless every
+    point is reached, CapExceeded if the table would exceed MAX_TABLE_CELLS.
     """
-    n = len(columns[0])
+    n = len(columns[0]) if columns else 1
     check_table_cells(n)
     tree = _spanning_tree(columns)
     if len(tree) != n - 1:
@@ -249,7 +240,9 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     inverse = [0] * n
     for x, y, k in tree:
         inverse[x] = rows[gen_inverse[k]][inverse[y]]
-    return Group(rows, element_names, generators, trusted=True, inverse=inverse)
+    G = object.__new__(Group)
+    G._fill(tuple(rows), inverse, element_names, generators)
+    return G
 
 
 def _check_axioms(rows):
@@ -366,7 +359,7 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
             if self.parent.element_names
             else None
         )
-        return Group(table, element_names=names, trusted=True)
+        return Group(table, element_names=names)
 
 
 def subgroup_closure(G: Group, seed) -> Subgroup:
@@ -436,7 +429,10 @@ def quotient(G: Group, N: Subgroup) -> Group:
         reps.append(g)
         for h in N.members:
             coset_of[G.table[g][h]] = idx
-    table = [[coset_of[G.table[a][b]] for b in reps] for a in reps]
+    # coset rN times gN is (rg)N: G's generating sequence acts on the cosets
+    columns = [
+        [coset_of[G.table[r][g]] for r in reps] for g in G.generating_sequence()
+    ]
     names = tuple(G.name_of(r) for r in reps)
     gens = []
     seen = set()
@@ -445,7 +441,7 @@ def quotient(G: Group, N: Subgroup) -> Group:
         if c != 0 and c not in seen:
             gens.append((name, c))
             seen.add(c)
-    return Group(table, element_names=names, generators=tuple(gens), trusted=True)
+    return group_from_action(columns, element_names=names, generators=gens)
 
 
 def enumerate_subgroups(G: Group) -> list[Subgroup]:
@@ -620,11 +616,17 @@ def identify(G: Group) -> Identification:
 
 
 def direct_product(G: Group, H: Group) -> Group:
+    """G x H on the elements (a, b) numbered a * |H| + b, acted on by both
+    factors' generating sequences."""
     nb = H.order
-    table = []
-    for row_g in G.table:
-        scaled = [x * nb for x in row_g]
-        table += ([s + y for s in scaled for y in row_h] for row_h in H.table)
+    check_table_cells(G.order * nb)
+    columns = []
+    for g in G.generating_sequence():
+        column = [row[g] * nb for row in G.table]
+        columns.append([x + b for x in column for b in range(nb)])
+    for h in H.generating_sequence():
+        column = [row[h] for row in H.table]
+        columns.append([a + y for a in range(0, G.order * nb, nb) for y in column])
     names = None
     if G.element_names or H.element_names:
         names = tuple(
@@ -651,4 +653,4 @@ def direct_product(G: Group, H: Group) -> Group:
         name = fresh(name)
         used_names.add(name)
         gens.append((name, el))
-    return Group(table, element_names=names, generators=tuple(gens), trusted=True)
+    return group_from_action(columns, element_names=names, generators=gens)

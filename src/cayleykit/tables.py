@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .groups import Group, identify
-from .groups import _first_witness, _latin_violation, _light_test, _two_sided_identity
+from .groups import Group, check_table_cells, group_from_action, identify
+from .groups import (
+    _first_witness, _generating_sequence, _latin_violation, _light_test, _two_sided_identity
+)
 
 __all__ = [
     "TableError",
@@ -65,18 +67,18 @@ class FiniteTable(namedtuple("FiniteTable", "symbols cells")):
 
 
 def parse_table(text: str) -> FiniteTable:
-    rows = []
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        rows.append(stripped.split())
-    if not rows:
+    """The table a text holds.  A header past the dense-table cap raises
+    CapExceeded before any body row is split; each row is mapped to symbol
+    indices as it is split, so no row's strings outlive it."""
+    rows = (line.split() for line in text.splitlines())
+    rows = (row for row in rows if row and not row[0].startswith("#"))
+    symbols = tuple(next(rows, ()))
+    if not symbols:
         raise TableError("no table content found")
-    symbols = tuple(rows[0])
+    check_table_cells(len(symbols))
     index = {s: i for i, s in enumerate(symbols)}
     cells = []
-    for i, row in enumerate(rows[1:]):
+    for i, row in enumerate(rows):
         try:
             cells.append(tuple(map(index.__getitem__, row)))
         except KeyError as missing:
@@ -174,14 +176,15 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     rejection = _first_failed_axiom(t, violation, e, witness)
     if rejection is not None:
         return TableGroupResult(None, None, rejection, violation, identity, witness)
-    # reorder so the identity is element 0, keeping the remaining symbol order
+    # renumber so the identity is element 0, keeping the remaining symbol
+    # order; the table's generating sequence acts on the new numbering
     new_order = [e] + [i for i in range(t.order) if i != e]
     pos = {old: new for new, old in enumerate(new_order)}
-    table = [
-        [pos[t.cells[a][b]] for b in new_order] for a in new_order
+    columns = [
+        [pos[t.cells[a][s]] for a in new_order] for s in _generating_sequence(t.cells, e)
     ]
-    names = tuple(t.symbols[i] for i in new_order)
-    group = Group(table, element_names=names, trusted=True)
+    names = [t.symbols[i] for i in new_order]
+    group = group_from_action(columns, element_names=names)
     return TableGroupResult(group, identify(group), None, violation, identity, witness)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import groupby
 
 __all__ = [
     "Letter",
@@ -258,22 +259,13 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(gens), tuple(relators))
 
 
-def _run_lengths(word: Word):
-    runs: list[tuple[int, int]] = []  # (generator, signed exponent)
-    for gen, sign in word:
-        if runs and runs[-1][0] == gen and (runs[-1][1] > 0) == (sign > 0):
-            runs[-1] = (gen, runs[-1][1] + sign)
-        else:
-            runs.append((gen, sign))
-    return runs
-
-
 def _factors(word: Word, generators: tuple[str, ...]) -> list[str]:
     """Each run of a word as g or g^e; the empty word is the one factor 1."""
-    return [
-        generators[gen] if exp == 1 else f"{generators[gen]}^{exp}"
-        for gen, exp in _run_lengths(word)
-    ] or ["1"]
+    factors = []
+    for (gen, sign), run in groupby(word):
+        exp = sign * len(list(run))
+        factors.append(generators[gen] if exp == 1 else f"{generators[gen]}^{exp}")
+    return factors or ["1"]
 
 
 def format_word(word: Word, generators: tuple[str, ...]) -> str:

@@ -210,7 +210,7 @@ def test_both_graph_routes_accept_the_same_caps(cap, message, capsys, monkeypatc
 def test_main_runs_the_handler_the_module_holds_now(capsys, monkeypatch):
     # the parser is built once per process; the handler is found by name
     cli.build_parser()
-    monkeypatch.setattr(cli, "cmd_check_table", lambda args: ({}, ["replaced"]))
+    monkeypatch.setattr(cli, "cmd_check_table", lambda args: ({}, ["replaced"], None))
     assert run_cli(["check-table", "any.txt"], capsys) == (0, "replaced\n")
 
 
@@ -261,6 +261,23 @@ def test_expect_assertion(capsys):
         ["fixture", "twist32_k3", "--analyze", "--expect", "SD_8"], capsys
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["make", "quaternion", "16", "--json", "--expect", "Q_32"], 4,
+         "expectation failed: expected 'Q_32', got 'Q_16'\n"),
+        (["check-table", str(DATA / "latin_nonassoc5.txt"), "--expect", "not-a-group"], 0, ""),
+        (["identify", "--table", str(DATA / "latin_nonassoc5.txt"), "--expect", "C_5"], 4,
+         "expectation failed: expected 'C_5', got 'not-a-group'\n"),
+        # --expect does not apply to an emitted fixture or to --analyze-all
+        (["fixture", "petersen", "--expect", "C_5"], 0, ""),
+        (["fixture", "--analyze-all", "--expect", "C_5"], 0, ""),
+    ],
+)
+def test_expect_is_compared_once_after_the_handler(argv, code, err, capsys):
+    assert run_cli_err(argv, capsys) == (code, err)
 
 
 def test_dot_output_written(tmp_path, capsys):
@@ -435,6 +452,25 @@ def test_table_shape_is_checked_by_the_table(text, message, tmp_path, capsys):
     path = tmp_path / "table.txt"
     path.write_text(text)
     assert run_cli_err(["check-table", str(path)], capsys) == (2, message)
+
+
+@pytest.mark.parametrize(
+    "argv, order, code, message",
+    [
+        (["check-table"], 4097, 3,
+         "cap exceeded: table cap 16777216 cells exceeded (order 4097)\n"),
+        (["identify", "--table"], 4097, 3,
+         "cap exceeded: table cap 16777216 cells exceeded (order 4097)\n"),
+        (["check-table"], 4096, 2, "error: expected 4096 rows, got 0\n"),
+    ],
+)
+def test_table_header_is_checked_against_the_cap_first(
+    argv, order, code, message, tmp_path, capsys
+):
+    # past the cap, no body row is split; at the cap, the missing body shows
+    path = tmp_path / "table.txt"
+    path.write_text(" ".join(f"s{i}" for i in range(order)) + "\n")
+    assert run_cli_err([*argv, str(path)], capsys) == (code, message)
 
 
 def two_node_graph(*names):

@@ -43,6 +43,9 @@ from cayleykit.tables import parse_table
 from cayleykit.words import Presentation, free_reduce, label_word, parse_presentation
 
 
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+
+
 def klein():
     return families.abelian([2, 2])
 
@@ -120,8 +123,8 @@ def test_rejects_non_associative_latin_square():
 
 
 def test_trusted_constructors_build_groups():
-    # trusted=True skips the axiom scans, so every trusted constructor's
-    # table must pass them when handed in as an untrusted table
+    # group_from_action skips the axiom scans, so every table the program
+    # builds must pass them when handed to the checked Group(table)
     built = [G for _, G in families.catalog_groups(64)]
     built += [
         families.cyclic(300),
@@ -180,6 +183,42 @@ except GroupError as exc:
         "action is not transitive: 2 of 4 reached\n"
         "coset table is not transitive: 2 of 4 reached\n"
     )
+
+
+def test_built_tables_go_through_group_from_action_unchecked(monkeypatch):
+    # quotients, direct products and checked tables are groups by
+    # construction: one group_from_action call each, and no axiom scan
+    from cayleykit import groups, tables
+
+    Q16, C3 = families.quaternion(16), families.cyclic(3)
+    N = central_involution(Q16)
+    cyclic5 = parse_table((DATA / "latin_cyclic5.txt").read_text())
+    built = []
+
+    def spy(*args, **kwargs):
+        built.append(group_from_action(*args, **kwargs))
+        return built[-1]
+
+    def no_scan(rows):
+        raise AssertionError("axiom scan on a table built by the program")
+
+    monkeypatch.setattr(groups, "group_from_action", spy)
+    monkeypatch.setattr(tables, "group_from_action", spy)
+    monkeypatch.setattr(groups, "_check_axioms", no_scan)
+    for build in (
+        lambda: quotient(Q16, N),
+        lambda: direct_product(Q16, C3),
+        lambda: tables.group_from_table(cyclic5).group,
+    ):
+        built.clear()
+        G = build()
+        assert len(built) == 1 and built[0] is G
+
+
+def test_group_from_action_without_columns_is_trivial():
+    # a trivial factor or quotient has an empty generating sequence
+    G = group_from_action([])
+    assert (G.order, G.table, G.inverse, G.generators) == (1, ((0,),), (0,), ())
 
 
 # --- element orders and center ----------------------------------------------
@@ -520,6 +559,17 @@ def test_direct_product_structure():
     H = direct_product(families.dihedral(3), families.cyclic(4))
     assert H.order == 24
     assert identify(H).name == "D_3xC_4"
+
+
+def test_direct_product_past_the_table_cap_builds_nothing(monkeypatch):
+    G, H = families.cyclic(65), families.cyclic(64)
+    monkeypatch.setattr(
+        Group, "generating_sequence", lambda self: pytest.fail("a column was built")
+    )
+    with pytest.raises(CapExceeded) as err:
+        direct_product(G, H)
+    assert str(err.value) == f"table cap {MAX_TABLE_CELLS} cells exceeded (order 4160)"
+    assert err.value.cosets_defined == 4160
 
 
 # --- the library's invariants against their pairwise definitions -------------
