@@ -7,11 +7,10 @@ regularly on the nodes.  A connected graph's action is regular iff each
 generator's left multiplication, built along a BFS tree, commutes with every
 color; only a disconnected graph, or ``full_order`` on a graph that is not
 regular, lists the group's elements, up to ``MAX_TABLE_CELLS`` node images
-in all.  Either way the graph's loops present a group, which is identified.
-A Cayley graph's color permutations are the closed coset table of that
-presentation, so its group is read from the graph; only a non-Cayley
-graph's loops are enumerated by Todd-Coxeter, since they present a proper
-quotient of the acting group.
+in all.  Either way the graph's loops present a group, read off the graph
+as its finest regular quotient (a Cayley graph is its own), whose classes
+are the closed coset table of the loop presentation: on every graph the
+coset cap bounds the presented group's order, and no coset is enumerated.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from .groups import (
     MAX_TABLE_CELLS, CapExceeded, Group, _left_multiplications, _spanning_tree, identify,
     subgroup_closure,
 )
-from .words import Presentation, Word, format_word, inverse_word
+from .words import Presentation, format_word
 
 __all__ = [
     "GraphError",
@@ -111,43 +110,27 @@ def color_permutations(graph: ColoredDigraph) -> list[tuple[int, ...]]:
         # kept by node, so that a colour with fewer edges than it needs fails
         # at its first bare node before anything of size n is built
         image: dict[int, int] = {}
-        if color.directed:
-            indeg: dict[int, int] = {}
-            for u, v in color.edges:
-                if u == v:
-                    raise GraphError(f"color {color.name!r}: self-loop at node {u}")
-                if u in image:
-                    raise GraphError(
-                        f"color {color.name!r}: node {u} has two outgoing edges"
-                    )
-                image[u] = v
-                indeg[v] = indeg.get(v, 0) + 1
-            for node in range(n):
-                if node not in image:
-                    raise GraphError(
-                        f"color {color.name!r}: node {node} has no outgoing edge"
-                    )
-                if indeg.get(node, 0) != 1:
-                    raise GraphError(
-                        f"color {color.name!r}: node {node} has "
-                        f"{indeg.get(node, 0)} incoming edges"
-                    )
-        else:
-            for u, v in color.edges:
-                if u == v:
-                    raise GraphError(f"color {color.name!r}: self-loop at node {u}")
-                if u in image or v in image:
-                    raise GraphError(
-                        f"color {color.name!r}: node {u if u in image else v} "
-                        "is matched twice"
-                    )
-                image[u], image[v] = v, u
-            for node in range(n):
-                if node not in image:
-                    raise GraphError(
-                        f"color {color.name!r}: node {node} is unmatched "
-                        "(an order-2 generator fixes no vertex)"
-                    )
+        indeg: dict[int, int] = {}
+        where = f"color {color.name!r}"
+        for u, v in color.edges:
+            if u == v:
+                raise GraphError(f"{where}: self-loop at node {u}")
+            if color.directed and u in image:
+                raise GraphError(f"{where}: node {u} has two outgoing edges")
+            if not color.directed and (u in image or v in image):
+                raise GraphError(f"{where}: node {u if u in image else v} is matched twice")
+            image[u] = v
+            indeg[v] = indeg.get(v, 0) + 1
+            if not color.directed:
+                image[v] = u
+        for node in range(n):
+            if node not in image:
+                raise GraphError(f"{where}: node {node} " + (
+                    "has no outgoing edge" if color.directed
+                    else "is unmatched (an order-2 generator fixes no vertex)"
+                ))
+            if color.directed and indeg.get(node, 0) != 1:
+                raise GraphError(f"{where}: node {node} has {indeg.get(node, 0)} incoming edges")
         perms.append(tuple(image[node] for node in range(n)))
     return perms
 
@@ -177,23 +160,48 @@ def _closure(perms, limit: int) -> int | None:
     return len(elements)
 
 
-def _centralised_by_left_multiplications(perms, tree) -> bool:
-    """Whether each generator's left multiplication along the spanning tree
-    commutes with every colour: L(x.p) == L(x).p for all nodes x and colours p.
+def _regular_quotient(perms):
+    """The colour columns of the finest quotient of the nodes on which the
+    colours act regularly, node 0's class as point 0; None unless they act
+    transitively.  A connected graph is a complete coset table of its base
+    node's stabiliser H in the free group F on the colours (Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, ch. 5); this is the
+    regular action of F/ncl(H), the group its loops present.
 
-    A map that commutes with a transitive group is onto, so a permutation in
-    its centraliser in Sym(n).  These maps send node 0 to 0.s for each
-    generator s, so they generate a transitive subgroup of the centraliser.
-    A g fixing node 0 then fixes every node c(0) with c in it, as c(0).g =
-    c(0.g) = c(0), so g = 1 and the action is regular.  Conversely a regular
-    action's left multiplications commute with its right ones (Dixon &
-    Mortimer, Permutation Groups, Thm 4.2A)."""
-    after = [itemgetter(*p) for p in perms]  # after[i](left)[x] = left[p_i[x]]
-    for left in _left_multiplications(perms, tree):
-        then = itemgetter(*left)  # then(p)[x] = p[left[x]]
-        if any(a(left) != then(p) for a, p in zip(after, perms)):
-            return False
-    return True
+    A round builds each generator's left multiplication L along a BFS tree.
+    If every L commutes with every colour p, the action is regular (Dixon &
+    Mortimer, Permutation Groups, Thm 4.2A).  Otherwise L(x.p) and L(x).p
+    are one point of every regular quotient: the round merges them, closes
+    the merges under the colours and goes on with the classes.  A round that
+    merges replaces H by a proper overgroup, so the point count at least halves."""
+    columns = perms
+    while True:
+        n = len(columns[0])
+        tree = _spanning_tree(columns)
+        if len(tree) != n - 1:
+            return None
+        after = [itemgetter(*p) for p in columns]  # after[i](left)[x] = left[p_i[x]]
+        pending = []
+        for left in _left_multiplications(columns, tree):
+            then = itemgetter(*left)  # then(p)[x] = p[left[x]]
+            for get, p in zip(after, columns):
+                moved, image = get(left), then(p)
+                if moved != image:
+                    pending += [(x, y) for x, y in zip(moved, image) if x != y]
+        if not pending:
+            return columns
+        cls, members = list(range(n)), [[x] for x in range(n)]  # class of x, members of a
+        while pending:
+            a, b = (cls[x] for x in pending.pop())
+            if a != b:
+                if len(members[a]) < len(members[b]):
+                    a, b = b, a
+                for x in members[b]:
+                    cls[x] = a
+                members[a] += members[b]
+                pending += [(p[a], p[b]) for p in columns]
+        number = {a: i for i, a in enumerate(dict.fromkeys(cls))}  # class -> point
+        columns = [tuple(number[cls[p[x]]] for x in number) for p in columns]
 
 
 class GraphVerdict(namedtuple(
@@ -214,19 +222,19 @@ def is_cayley(
     """Regular-action test: connected and closure order equals node count.
 
     A transitive group has order n times the size of a point stabiliser, so
-    a connected graph's order is n when the generators' left multiplications
-    commute with every colour (the action is regular), an O(n k^2) check for
-    k colours, and past n otherwise; only ``full_order`` lists a non-regular
-    group's elements to count them."""
+    a connected graph's order is n when it is its own finest regular
+    quotient, an O(n k^2) check for k colours, and past n otherwise; only
+    ``full_order`` lists a non-regular group's elements to count them."""
     perms = color_permutations(graph)
-    n = graph.node_count
-    tree = _spanning_tree(perms)
-    connected = len(tree) == n - 1
-    if connected and _centralised_by_left_multiplications(perms, tree):
-        order = n
-    elif connected and not full_order:
-        order = None
-    else:
+    return _verdict(perms, _regular_quotient(perms), full_order, order_cap)
+
+
+def _verdict(perms, quotient, full_order, order_cap=FULL_ORDER_CAP) -> GraphVerdict:
+    """The verdict on colours whose finest regular quotient is ``quotient``."""
+    n = len(perms[0])
+    connected = quotient is not None
+    order = n if connected and len(quotient[0]) == n else None
+    if order is None and (full_order or not connected):
         order = _closure(perms, order_cap if full_order else n)
     return GraphVerdict(
         connected=connected,
@@ -252,63 +260,69 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
         raise GraphError("the given elements do not generate the group")
     colors = []
     for name, el in gens:
-        if G.element_orders()[el] == 2:
-            edges = tuple(
-                (g, G.table[g][el]) for g in range(G.order) if g < G.table[g][el]
-            )
-            colors.append(EdgeColor(name, False, edges))
-        else:
-            colors.append(
-                EdgeColor(name, True, tuple((g, G.table[g][el]) for g in range(G.order)))
-            )
-    labels = (
-        G.element_names
-        if G.element_names is not None
-        else tuple(str(i) for i in range(G.order))
-    )
+        matching = G.element_orders()[el] == 2  # an involution's edges pair up
+        edges = tuple(
+            (g, G.table[g][el]) for g in range(G.order) if not matching or g < G.table[g][el]
+        )
+        colors.append(EdgeColor(name, not matching, edges))
+    labels = G.element_names if G.element_names is not None else tuple(map(str, range(G.order)))
     return ColoredDigraph(G.order, tuple(colors), labels)
 
 
 def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     """Generators are the colors; loops through a BFS spanning tree give
-    the relators (one per non-tree edge, plus c^2 per undirected color)."""
+    the relators (one per non-tree edge, plus c^2 per undirected color).
+    Raises CapExceeded before building relators of more than MAX_TABLE_CELLS
+    letters in all, counted from the depths of each loop's ends."""
     perms = color_permutations(graph)
     n = graph.node_count
     inv_perms = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
 
-    words: list = [None] * n
-    words[base] = ()
+    # a node's BFS word is its parent's and then its letter, whose inverse is
+    # kept too: a relator holds these shared letters, a pointer each
+    parent, letter, inverse, depth = [None] * n, [None] * n, [None] * n, [0] * n
+    parent[base] = base
     queue = [base]
     for u in queue:  # a BFS queue, appended to while walked
         for ci, color in enumerate(graph.colors):
-            steps = [(perms[ci][u], 1)]
-            if color.directed:
-                steps.append((inv_perms[ci][u], -1))
-            for v, sign in steps:
-                if words[v] is None:
-                    words[v] = words[u] + ((ci, sign),)
+            steps = ((perms[ci][u], 1), (inv_perms[ci][u], -1))
+            for v, sign in steps[: 1 + color.directed]:
+                if parent[v] is None:
+                    parent[v], letter[v], inverse[v] = u, (ci, sign), (ci, -sign)
+                    depth[v] = depth[u] + 1
                     queue.append(v)
     if len(queue) != n:
         raise GraphError("graph is not connected")
 
-    # Edge u -> v = u.c is a tree edge iff v's word ends in c or u's word in
-    # c^-1 (in c, for an undirected colour).  So a loop through any other edge
-    # does not cancel where c meets a tree word, and no two loops share their
-    # one non-tree edge: every relator is free-reduced and distinct as built.
-    relators: list[Word] = []
+    # Edge u -> v = u.c is a tree edge iff v's letter is c or u's is c^-1
+    # (c, for an undirected colour).  So a loop through any other edge does
+    # not cancel where c meets a tree word, and no two loops share their one
+    # non-tree edge: every relator is free-reduced and distinct as built.
+    loops = []  # (c, u, v) per non-tree edge u -> v = u.c, (c, None, None) for c^2
     for ci, color in enumerate(graph.colors):
-        forth, back = ((ci, 1),), ((ci, -1 if color.directed else 1),)
+        forth, back = (ci, 1), (ci, -1 if color.directed else 1)
         if not color.directed:
-            relators.append(forth + forth)
-        for u in range(n):
-            v = perms[ci][u]
-            tree = words[v][-1:] == forth or words[u][-1:] == back
-            if tree or (v < u and not color.directed):
-                continue
-            relators.append(words[u] + forth + inverse_word(words[v]))
+            loops.append((ci, None, None))
+        for u, v in enumerate(perms[ci]):
+            if not (letter[v] == forth or letter[u] == back or (v < u and not color.directed)):
+                loops.append((ci, u, v))
+    letters = sum(2 if u is None else depth[u] + depth[v] + 1 for _, u, v in loops)
+    if letters > MAX_TABLE_CELLS:
+        raise CapExceeded(f"loop cap {MAX_TABLE_CELLS} letters exceeded ({letters})", letters)
 
-    names = tuple(color.name for color in graph.colors)
-    return Presentation(names, tuple(relators))
+    def climb(x, per_node):  # per_node[y] for each node y from x up to the base
+        out = []
+        while x != base:
+            out.append(per_node[x])
+            x = parent[x]
+        return out
+
+    relators = tuple(
+        (*reversed(climb(u, letter)), (ci, 1), *climb(v, inverse)) if u is not None
+        else ((ci, 1), (ci, 1))
+        for ci, u, v in loops
+    )
+    return Presentation(tuple(color.name for color in graph.colors), relators)
 
 
 class GraphReport(namedtuple(
@@ -333,28 +347,22 @@ class GraphReport(namedtuple(
 
 
 def _regular_coset_table(
-    presentation: Presentation, perms, max_cosets: int
+    presentation: Presentation, columns, max_cosets: int
 ) -> cosets.CosetTable:
-    """The closed coset table of a regular graph's loop presentation: the
-    colour permutations themselves.
-
-    The loops are the Schreier generators of the stabiliser of their base
-    node, which for a regular action is the whole relation subgroup, so
-    Todd-Coxeter would rebuild this action.  Any node can be coset 0, the
-    base or not: left multiplication by an element is a colour-preserving
-    automorphism of a Cayley graph, taking node 0 to any node.  A relator
-    that fixes one point of a regular action fixes them all, so tracing each
-    from coset 0 checks the table."""
+    """The closed coset table of a graph's loop presentation: the colour
+    columns of its finest regular quotient, whose m points are m cosets.
+    Any point can be coset 0, the base's class or not, and a relator that
+    fixes one point of a regular action fixes them all (left multiplication
+    is a colour-preserving automorphism), so tracing each from coset 0
+    checks the table."""
     cosets.check_max_cosets(max_cosets, presentation.rank)
-    n = len(perms[0])
+    n = len(columns[0])
     if n > max_cosets:
         raise CapExceeded(
-            f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes "
-            f"has {n} cosets)",
-            n,
+            f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes has {n} cosets)", n
         )
-    inverses = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in perms)
-    table = cosets.CosetTable(presentation, tuple(perms), inverses, n)
+    inverses = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in columns)
+    table = cosets.CosetTable(presentation, tuple(columns), inverses, n)
     for rel in presentation.relators:
         if table.trace(0, rel) != 0:
             raise RuntimeError(
@@ -370,23 +378,18 @@ def analyze(
     full_order: bool = False,
     max_cosets: int = cosets.DEFAULT_MAX_COSETS,
 ) -> GraphReport:
-    """Invariants -> presentation -> regularity verdict -> coset table -> names.
+    """Invariants -> presentation -> regular quotient -> verdict -> table -> names.
 
-    A disconnected graph is refused before any closure runs.  A Cayley graph
-    is its own coset table; only a non-Cayley graph's loops are enumerated."""
+    A disconnected graph is refused before any closure runs.  The presented
+    group is the finest regular quotient, the graph itself if it is a Cayley
+    graph; its order is charged against ``max_cosets``."""
     presentation = extract_presentation(graph, base)
-    verdict = is_cayley(graph, full_order=full_order)
-    if verdict.is_cayley:
-        table = _regular_coset_table(presentation, verdict.color_perms, max_cosets)
-    else:
-        table = cosets.todd_coxeter(presentation, max_cosets)
+    perms = color_permutations(graph)
+    quotient = _regular_quotient(perms)
+    verdict = _verdict(perms, quotient, full_order)
+    table = _regular_coset_table(presentation, quotient, max_cosets)
     presented = cosets.group_from_coset_table(table)
-    return GraphReport(
-        verdict=verdict,
-        presentation=presentation,
-        presented_group=presented,
-        presented_identification=identify(presented),
-    )
+    return GraphReport(verdict, presentation, presented, identify(presented))
 
 
 @cache
@@ -451,17 +454,14 @@ def load_graph_json(text: str) -> ColoredDigraph:
     nodes = _integer(data["nodes"], '"nodes"')
     colors = []
     for entry in data["colors"]:
-        try:
-            colors.append(
-                EdgeColor(
-                    _string(entry["name"], "color name"),
-                    _boolean(entry["directed"], '"directed"'),
-                    tuple(
-                        (_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
-                        for u, v in entry["edges"]
-                    ),
-                )
+        try:  # the name first, then the direction, then the edges
+            name = _string(entry["name"], "color name")
+            directed = _boolean(entry["directed"], '"directed"')
+            edges = tuple(
+                (_integer(u, "edge endpoint"), _integer(v, "edge endpoint"))
+                for u, v in entry["edges"]
             )
+            colors.append(EdgeColor(name, directed, edges))
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"malformed color entry: {exc}") from None
     return ColoredDigraph(
@@ -492,10 +492,7 @@ def export_dot(graph: ColoredDigraph) -> str:
         lines.append(f'  {i} [label="{label}"];')
     for ci, color in enumerate(graph.colors):
         dot_color = color.name if color.name in DOT_COLORS else DOT_PALETTE[ci % len(DOT_PALETTE)]
-        for u, v in color.edges:
-            if color.directed:
-                lines.append(f"  {u} -> {v} [color={dot_color}];")
-            else:
-                lines.append(f"  {u} -> {v} [color={dot_color}, dir=none];")
+        style = "" if color.directed else ", dir=none"
+        lines += [f"  {u} -> {v} [color={dot_color}{style}];" for u, v in color.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -177,6 +177,17 @@ def test_cayley_graph_over_the_coset_cap_exits_3(capsys, monkeypatch):
     assert (code, captured.out, captured.err) == (3, "", message)
 
 
+def test_coset_cap_bounds_the_presented_order_of_a_non_cayley_graph(capsys, monkeypatch):
+    # ring18 has 18 nodes and presents C_6: its quotient, not the graph, is charged
+    graph = str(SRC / "cayleykit" / "fixtures" / "ring18.json")
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "6")
+    code, out = run_cli(["check-graph", graph], capsys)
+    assert code == 0 and "presented group: C_6 (order 6)\n" in out
+    monkeypatch.setenv("CAYLEY_MAX_COSETS", "5")
+    message = "cap exceeded: coset cap 5 exceeded (a regular graph on 6 nodes has 6 cosets)\n"
+    assert run_cli_err(["check-graph", graph], capsys) == (3, message)
+
+
 def test_make_enumerates_under_the_coset_cap(capsys, monkeypatch):
     # a presentation family enumerates under the same cap as enumerate
     monkeypatch.setenv("CAYLEY_MAX_COSETS", "10")
@@ -201,7 +212,7 @@ def test_make_rejects_a_malformed_coset_cap(capsys, monkeypatch):
 )
 def test_both_graph_routes_accept_the_same_caps(cap, message, capsys, monkeypatch):
     # flower16_fwd is a Cayley graph, read as its own coset table;
-    # flower16_rev is not, and its loops are enumerated
+    # flower16_rev is not, and is read as its finest regular quotient
     monkeypatch.setenv("CAYLEY_MAX_COSETS", cap)
     for name in ("flower16_fwd", "flower16_rev"):
         assert run_cli_err(["fixture", name, "--analyze"], capsys) == (2, message), name
@@ -643,6 +654,16 @@ CLI_INPUTS = st.one_of(
     st.tuples(st.just("check-table"), TABLES | st.text("eab x1\n", max_size=30)),
     st.tuples(st.just("check-graph"), GRAPHS.map(json.dumps)),
 )
+# graphs whose BFS words hold Theta(n^2) letters: a 20,000-node directed cycle
+# (one loop of 20,000 letters) and an 8,000-node one with the matching
+# (2i, 2i+1), whose 4,002 loops hold 16,012,002 letters and present C_2
+LONG_CYCLE = {"nodes": 20000, "colors": [
+    {"name": "r", "directed": True, "edges": [[i, (i + 1) % 20000] for i in range(20000)]},
+]}
+LADDER = {"nodes": 8000, "colors": [
+    {"name": "r", "directed": True, "edges": [[i, (i + 1) % 8000] for i in range(8000)]},
+    {"name": "s", "directed": False, "edges": [[2 * i, 2 * i + 1] for i in range(4000)]},
+]}
 MAX_COSETS = st.none() | st.integers(-2, 300).map(str) | st.sampled_from(
     ["", "ten", "1e3", "4194305", "99999999999999"]
 )
@@ -651,6 +672,8 @@ MAX_COSETS = st.none() | st.integers(-2, 300).map(str) | st.sampled_from(
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(request=CLI_INPUTS, max_cosets=MAX_COSETS)
 @example(request=("check-graph", "[" * 100000), max_cosets=None)
+@example(request=("check-graph", json.dumps(LONG_CYCLE)), max_cosets=None)
+@example(request=("check-graph", json.dumps(LADDER)), max_cosets=None)
 @example(request=("enumerate", f"<a | {NESTED_WORD}>"), max_cosets=None)
 @example(request=("enumerate", "<a,b | a b a^-1 b^-1>"), max_cosets="99999999999999")
 @example(

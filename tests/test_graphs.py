@@ -4,14 +4,15 @@ import pathlib
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit import families
 from cayleykit.cli import _graph_report
-from cayleykit.cosets import group_from_coset_table, group_from_presentation, todd_coxeter
+from cayleykit.cosets import group_from_coset_table, group_from_presentation
 from cayleykit.graphs import (
     _closure,
     _regular_coset_table,
+    _regular_quotient,
     ColoredDigraph,
     EdgeColor,
     GraphError,
@@ -26,7 +27,10 @@ from cayleykit.graphs import (
     is_cayley,
     load_graph_json,
 )
-from cayleykit.groups import CapExceeded, group_from_action, identify, is_isomorphic
+from cayleykit.groups import (
+    CapExceeded, _spanning_tree, group_from_action, identify, is_isomorphic,
+    subgroup_closure,
+)
 from cayleykit.words import Presentation, free_reduce
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -214,6 +218,27 @@ def test_extract_requires_connected():
     red = EdgeColor("red", True, ((0, 1), (1, 0), (2, 3), (3, 2)))
     with pytest.raises(GraphError):
         extract_presentation(ColoredDigraph(4, (red,)))
+
+
+@pytest.mark.parametrize("name", ["petersen", "mirror16", "flower16_rev"])
+def test_loop_letters_are_charged_before_relators_are_built(name, monkeypatch):
+    # a loop's length is counted from the depths of its ends, exactly
+    graph = fixture(name)
+    letters = sum(map(len, extract_presentation(graph, 3).relators))
+    monkeypatch.setattr("cayleykit.graphs.MAX_TABLE_CELLS", letters)
+    extract_presentation(graph, 3)
+    monkeypatch.setattr("cayleykit.graphs.MAX_TABLE_CELLS", letters - 1)
+    monkeypatch.setattr("cayleykit.graphs.Presentation", None)  # never reached
+    message = rf"^loop cap {letters - 1} letters exceeded \({letters}\)$"
+    with pytest.raises(CapExceeded, match=message):
+        extract_presentation(graph, 3)
+
+
+def test_a_long_cycle_builds_one_relator_of_its_length():
+    # its BFS words hold ~n^2/4 = 10^8 letters in all, its one loop n letters
+    n = 20000
+    graph = ColoredDigraph(n, (EdgeColor("r", True, tuple((i, (i + 1) % n) for i in range(n))),))
+    assert extract_presentation(graph).relators == (((0, 1),) * n,)
 
 
 def test_analyze_refuses_a_disconnected_graph_before_its_closure(monkeypatch):
@@ -454,9 +479,10 @@ def test_perturbed_cayley_graph_loses_regularity():
         assert report.presented_order < g.node_count
 
 
-# --- a Cayley graph is its own coset table ------------------------------------------
+# --- a graph's finest regular quotient is its coset table ----------------------------
 
 CAYLEY_FIXTURES = sorted(name for name in ORACLE if ORACLE[name]["is_cayley"])
+NON_CAYLEY_FIXTURES = sorted(name for name in ORACLE if not ORACLE[name]["is_cayley"])
 CATALOG_GRAPHS = [
     (name, build_cayley_graph(G))
     for name, G in families.catalog_groups(64)
@@ -476,14 +502,33 @@ def relabelled(graph, order):
     return ColoredDigraph(graph.node_count, colors, tuple(labels))
 
 
+def quotient_rounds(perms):
+    """_regular_quotient(perms) and the point count each of its rounds began with."""
+    counts = []
+
+    def counted(columns):
+        counts.append(len(columns[0]))
+        return _spanning_tree(columns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cayleykit.graphs._spanning_tree", counted)
+        quotient = _regular_quotient(perms)
+    return quotient, counts
+
+
 def assert_read_as_enumerated(graph, base=0):
-    """analyze() reads a regular graph's presented group off the graph; it
-    must equal what Todd-Coxeter makes of the graph's loops, and the table
-    it was read from must close every relator at every coset."""
+    """analyze() reads a graph's presented group off its finest regular
+    quotient; it must equal what Todd-Coxeter makes of the graph's loops,
+    the table it was read from must close every relator at every coset, and
+    each round that merges must at least halve the points.  Returns the
+    point counts the rounds began with."""
     report = analyze(graph, base=base)
-    assert report.is_cayley
     presentation = extract_presentation(graph, base)
-    table = _regular_coset_table(presentation, report.verdict.color_perms, graph.node_count)
+    quotient, counts = quotient_rounds(report.verdict.color_perms)
+    assert counts[0] == graph.node_count and counts[-1] == len(quotient[0])
+    assert all(n % m == 0 and 2 * m <= n for n, m in zip(counts, counts[1:]))
+    assert report.is_cayley == (len(counts) == 1)
+    table = _regular_coset_table(presentation, quotient, len(quotient[0]))
     assert table.open_relator() is None
     reference = group_from_presentation(presentation)
     for group in (report.presented_group, group_from_coset_table(table)):
@@ -491,6 +536,7 @@ def assert_read_as_enumerated(graph, base=0):
         assert group.element_names == reference.element_names
         assert group.generators == reference.generators
         assert group.inverse == reference.inverse
+    return counts
 
 
 @pytest.mark.parametrize("name", CAYLEY_FIXTURES)
@@ -498,6 +544,91 @@ def test_cayley_fixture_read_as_enumerated(name):
     graph = fixture(name)
     for base in (0, 1, 7, graph.node_count - 1):
         assert_read_as_enumerated(graph, base)
+
+
+@pytest.mark.parametrize("name", NON_CAYLEY_FIXTURES)
+def test_non_cayley_fixture_read_as_enumerated(name):
+    graph = fixture(name)
+    for base in (0, 1, 7, graph.node_count - 1):
+        assert_read_as_enumerated(graph, base)
+
+
+def coset_graph(G, members, gens):
+    """The Schreier graph of G on the right cosets of the subgroup with these
+    members, one colour per generator (undirected when it is an involution),
+    or None when a generator fixes a coset."""
+    coset_of, reps = {}, []
+    for x in range(G.order):
+        if x not in coset_of:
+            reps.append(x)
+            coset_of.update((G.table[k][x], len(reps) - 1) for k in members)
+    colors = []
+    for i, s in enumerate(gens):
+        perm = [coset_of[G.table[r][s]] for r in reps]
+        if any(perm[x] == x for x in range(len(reps))):
+            return None
+        if all(perm[perm[x]] == x for x in range(len(reps))):
+            edges = tuple((x, y) for x, y in enumerate(perm) if x < y)
+            colors.append(EdgeColor(f"c{i}", False, edges))
+        else:
+            colors.append(EdgeColor(f"c{i}", True, tuple(enumerate(perm))))
+    return ColoredDigraph(len(reps), tuple(colors))
+
+
+SCHREIER_GROUPS = [G for _, G in families.catalog_groups(48) if G.order > 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coset_graphs_read_as_enumerated(data):
+    # the loops of a Schreier graph present G over the normal closure of the
+    # subgroup, a proper quotient of the acting group unless it is normal
+    G = data.draw(st.sampled_from(SCHREIER_GROUPS))
+    seeds = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))
+    graph = coset_graph(G, subgroup_closure(G, seeds).members, [s for _, s in G.generators])
+    assume(graph is not None)
+    assert_read_as_enumerated(graph, data.draw(st.integers(0, graph.node_count - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_random_graphs_read_as_enumerated(data):
+    n = data.draw(st.integers(2, 12))
+    colors = []
+    for i in range(data.draw(st.integers(1, 3))):
+        if n % 2 == 0 and data.draw(st.booleans()):
+            colors.append(EdgeColor(f"c{i}", False, data.draw(matchings(n))))
+        else:
+            colors.append(EdgeColor(f"c{i}", True, tuple(enumerate(data.draw(derangements(n))))))
+    graph = ColoredDigraph(n, tuple(colors))
+    assume(len(orbit_of_zero(color_permutations(graph))) == n)
+    assert_read_as_enumerated(graph, data.draw(st.integers(0, n - 1)))
+
+
+def symmetric_group_coset_graph(n):
+    """S_n on the right cosets of <(0 1)>, coloured by an n-cycle and (0 1)
+    followed by that cycle, neither of which fixes a coset."""
+    swap = (1, 0) + tuple(range(2, n))
+    cycle = tuple((i + 1) % n for i in range(n))
+    gens = (cycle, tuple(cycle[swap[i]] for i in range(n)))
+    elements = [tuple(range(n))]
+    index = {elements[0]: 0}
+    for x in elements:  # a BFS queue, appended to while walked
+        for y in (tuple(s[i] for i in x) for s in gens):  # x, then s
+            if y not in index:
+                index[y] = len(elements)
+                elements.append(y)
+    G = group_from_action([[index[tuple(s[i] for i in x)] for x in elements] for s in gens])
+    return coset_graph(G, subgroup_closure(G, [index[swap]]).members, [index[s] for s in gens])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_quotient_rounds_halve_the_points(n):
+    # the points are the cosets of a copy of S_2, and each round that merges
+    # leaves the cosets of a copy of S_3, S_4, ..., up to S_n itself, the
+    # normal closure of a transposition: n - 2 such rounds and a trivial group
+    counts = assert_read_as_enumerated(symmetric_group_coset_graph(n))
+    assert len(counts) == n - 1 and counts[-1] == 1
 
 
 def test_catalog_cayley_graphs_read_as_enumerated():
@@ -569,18 +700,13 @@ def test_analyze_builds_one_group_per_cayley_graph(monkeypatch):
         assert len(calls) == 1
 
 
-def test_non_cayley_graphs_are_enumerated(monkeypatch):
+def test_no_graph_is_enumerated(monkeypatch):
+    # every graph's presented group is read off the graph, Cayley or not
     calls = []
-
-    def counted(presentation, max_cosets):
-        calls.append(presentation)
-        return todd_coxeter(presentation, max_cosets)
-
-    monkeypatch.setattr("cayleykit.cosets.todd_coxeter", counted)
+    monkeypatch.setattr("cayleykit.cosets.todd_coxeter", lambda *args: calls.append(args))
     for name in sorted(ORACLE):
-        calls.clear()
         analyze(fixture(name))
-        assert len(calls) == (0 if ORACLE[name]["is_cayley"] else 1)
+    assert calls == []
 
 
 def test_regular_table_refuses_open_relator_and_cap():
