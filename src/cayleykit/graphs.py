@@ -26,7 +26,7 @@ from .groups import (
     MAX_TABLE_CELLS, CapExceeded, Group, _left_multiplications, _spanning_tree, identify,
     subgroup_closure,
 )
-from .words import Presentation, format_word
+from .words import Presentation, _check_generator_names, format_word
 
 __all__ = [
     "GraphError",
@@ -266,7 +266,8 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
         )
         colors.append(EdgeColor(name, not matching, edges))
     labels = G.element_names if G.element_names is not None else tuple(map(str, range(G.order)))
-    return ColoredDigraph(G.order, tuple(colors), labels)
+    # edges from the table are in range and distinct, and the labels unique
+    return tuple.__new__(ColoredDigraph, (G.order, tuple(colors), labels))
 
 
 def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
@@ -309,6 +310,8 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     letters = sum(2 if u is None else depth[u] + depth[v] + 1 for _, u, v in loops)
     if letters > MAX_TABLE_CELLS:
         raise CapExceeded(f"loop cap {MAX_TABLE_CELLS} letters exceeded ({letters})", letters)
+    names = tuple(color.name for color in graph.colors)
+    _check_generator_names(names)  # the colour names come from outside
 
     def climb(x, per_node):  # per_node[y] for each node y from x up to the base
         out = []
@@ -322,7 +325,7 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
         else ((ci, 1), (ci, 1))
         for ci, u, v in loops
     )
-    return Presentation(tuple(color.name for color in graph.colors), relators)
+    return tuple.__new__(Presentation, (names, relators))
 
 
 class GraphReport(namedtuple(

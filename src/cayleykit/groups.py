@@ -4,11 +4,11 @@ Element 0 is always the identity.  Every table the program builds comes
 from ``group_from_action``, which turns the right action of a generating
 set on the elements (a closed coset table, a matrix closure, a Cayley
 graph's colours, a quotient's cosets, a direct product's pairs, a checked
-table's symbols) into a table that is a group by construction.
-``Group(table)`` is for tables from outside, and for ``Subgroup.as_group``:
-each must be a Latin square with identity 0 and pass Light's associativity
-test.  A dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger one
-is refused with ``CapExceeded`` before any row is built.
+table's symbols, a subgroup's members) into a table that is a group by
+construction.  ``Group(table)`` is for tables from outside only: each must
+be a Latin square with identity 0 and pass Light's associativity test.  A
+dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger one is
+refused with ``CapExceeded`` before any row is built.
 
 Structural invariants come from the greedy generating sequence
 (``_generating_sequence``) and the element orders, which each ``Group``
@@ -350,16 +350,11 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
 
     def as_group(self) -> Group:
         """The subgroup as a standalone Group in member order."""
-        pos = {m: i for i, m in enumerate(self.members)}
-        table = [
-            [pos[self.parent.table[a][b]] for b in self.members] for a in self.members
-        ]
-        names = (
-            tuple(self.parent.name_of(m) for m in self.members)
-            if self.parent.element_names
-            else None
-        )
-        return Group(table, element_names=names)
+        parent, pos = self.parent, {m: i for i, m in enumerate(self.members)}
+        table = [[pos[parent.table[a][b]] for b in self.members] for a in self.members]
+        columns = [[row[g] for row in table] for g in _generating_sequence(table, 0)]
+        names = tuple(map(parent.name_of, self.members)) if parent.element_names else None
+        return group_from_action(columns, element_names=names)
 
 
 def subgroup_closure(G: Group, seed) -> Subgroup:

@@ -75,22 +75,28 @@ def word_power(word: Word, exponent: int) -> Word:
     return free_reduce(tuple(word) * exponent)
 
 
+def _check_generator_names(generators: tuple[str, ...]):
+    """Checks a presentation's generator names, and so a graph's colour names."""
+    if not generators:
+        raise ValueError("presentation needs at least one generator")
+    seen = set()
+    for name in generators:
+        if not GENERATOR_NAME.fullmatch(name):
+            raise ValueError(f"invalid generator name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate generator name {name!r}")
+        seen.add(name)
+
+
 class Presentation(namedtuple("Presentation", "generators relators")):
-    """Generators plus free-reduced relator words."""
+    """Generators plus free-reduced relator words, checked here for outside
+    callers; the parser and the graph layer build it with ``tuple.__new__``."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, generators: tuple[str, ...], relators: tuple[Word, ...]):
-        if not generators:
-            raise ValueError("presentation needs at least one generator")
-        seen = set()
-        for name in generators:
-            if not GENERATOR_NAME.fullmatch(name):
-                raise ValueError(f"invalid generator name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate generator name {name!r}")
-            seen.add(name)
+        _check_generator_names(generators)
         for rel in relators:
             if not rel:
                 raise ValueError("empty relator")
@@ -256,7 +262,7 @@ def parse_presentation(text: str) -> Presentation:
     sc.expect(">")
     if not sc.at_end():
         raise ParseError("trailing input after '>'", sc.pos)
-    return Presentation(tuple(gens), tuple(relators))
+    return tuple.__new__(Presentation, (tuple(gens), tuple(relators)))
 
 
 def _factors(word: Word, generators: tuple[str, ...]) -> list[str]:

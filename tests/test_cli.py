@@ -501,7 +501,8 @@ def two_node_graph(*names):
 def test_colour_names_are_checked_as_generator_names(graph, message, tmp_path, capsys):
     path = tmp_path / "graph.json"
     path.write_text(json.dumps(graph))
-    assert run_cli_err(["check-graph", str(path)], capsys) == (2, message)
+    for argv in (["check-graph", str(path)], ["identify", "--graph", str(path)]):
+        assert run_cli_err(argv, capsys) == (2, message)
 
 
 def test_unknown_fixture_is_a_usage_error(capsys):

@@ -524,6 +524,7 @@ def assert_read_as_enumerated(graph, base=0):
     point counts the rounds began with."""
     report = analyze(graph, base=base)
     presentation = extract_presentation(graph, base)
+    assert Presentation(*presentation) == presentation  # passes the checks it skips
     quotient, counts = quotient_rounds(report.verdict.color_perms)
     assert counts[0] == graph.node_count and counts[-1] == len(quotient[0])
     assert all(n % m == 0 and 2 * m <= n for n, m in zip(counts, counts[1:]))
@@ -633,6 +634,7 @@ def test_quotient_rounds_halve_the_points(n):
 
 def test_catalog_cayley_graphs_read_as_enumerated():
     for _, graph in CATALOG_GRAPHS:
+        assert ColoredDigraph(*graph) == graph  # passes the checks it skips
         assert_read_as_enumerated(graph)
 
 
@@ -707,6 +709,29 @@ def test_no_graph_is_enumerated(monkeypatch):
     for name in sorted(ORACLE):
         analyze(fixture(name))
     assert calls == []
+
+
+def counted_constructor(mp, cls):
+    """Patch cls.__new__ to record each call's arguments; returns the record."""
+    calls, new = [], cls.__new__
+    mp.setattr(cls, "__new__", lambda c, *args: calls.append(args) or new(c, *args))
+    return calls
+
+
+def test_graph_layer_skips_the_record_checks(monkeypatch):
+    # the loop presentation and a group's Cayley graph are checked as they are
+    # built; only the colour names, from outside, are checked again
+    graphs = [fixture(name) for name in sorted(ORACLE)] + [perturbed(fixture("mirror16"))]
+    presentations = counted_constructor(monkeypatch, Presentation)
+    digraphs = counted_constructor(monkeypatch, ColoredDigraph)
+    for graph in graphs:
+        analyze(graph)
+    for G in (families.dihedral(12), families.quaternion(8), families.cyclic(2)):
+        build_cayley_graph(G)
+    assert presentations == [] and digraphs == []
+    Presentation(("r",), ())
+    ColoredDigraph(1, ())
+    assert len(presentations) == len(digraphs) == 1
 
 
 def test_regular_table_refuses_open_relator_and_cap():

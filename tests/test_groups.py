@@ -135,11 +135,22 @@ def test_trusted_constructors_build_groups():
     Q32 = families.quaternion(32)
     built.append(quotient(Q32, central_involution(Q32)))
     D12 = families.dihedral(12)
-    built.append(subgroup_closure(D12, (D12.generators[0][1],)).as_group())
+    sub = subgroup_closure(D12, (D12.generators[0][1],))
+    H = sub.as_group()
+    built.append(H)
     report = graphs.analyze(graphs.fixture("mirror32"))
     built += [report.presented_group, group_from_action(report.verdict.color_perms)]
     for G in built:
         assert Group(G.table).order == G.order
+    # the subgroup's own table, in member order, through the checked constructor
+    pos = {m: i for i, m in enumerate(sub.members)}
+    checked = Group(
+        [[pos[D12.table[a][b]] for b in sub.members] for a in sub.members],
+        element_names=[D12.name_of(m) for m in sub.members],
+    )
+    assert (H.table, H.element_names, H.inverse, H.generators) == (
+        checked.table, checked.element_names, checked.inverse, checked.generators
+    )
 
 
 def test_group_from_action_rebuilds_each_catalog_table():
@@ -213,6 +224,23 @@ def test_built_tables_go_through_group_from_action_unchecked(monkeypatch):
         built.clear()
         G = build()
         assert len(built) == 1 and built[0] is G
+
+
+def test_as_group_builds_without_axiom_scan(monkeypatch):
+    # a subgroup's table is a group by construction: only Group(table),
+    # for tables from outside, scans the axioms
+    from cayleykit import groups
+
+    calls = []
+    check = groups._check_axioms
+    monkeypatch.setattr(groups, "_check_axioms", lambda rows: calls.append(rows) or check(rows))
+    D12 = families.dihedral(12)
+    subgroups = [subgroup_closure(D12, (g,)) for g in range(D12.order)]
+    subgroups.append(subgroup_closure(D12, [g for _, g in D12.generators]))
+    built = [H.as_group() for H in subgroups]
+    assert calls == []
+    assert Group(built[-1].table).order == D12.order
+    assert len(calls) == 1
 
 
 def test_group_from_action_without_columns_is_trivial():

@@ -132,6 +132,20 @@ def test_format_round_trip():
     for text in texts:
         p = parse_presentation(text)
         assert parse_presentation(format_presentation(p)) == p
+        assert Presentation(*p) == p  # the parser's record passes the checks it skips
+
+
+def test_parser_skips_the_record_checks(monkeypatch):
+    # the parser checks names, reduction and indices as it reads them, so it
+    # never enters the constructor that checks them again for outside callers
+    calls = []
+    new = Presentation.__new__
+    monkeypatch.setattr(Presentation, "__new__", lambda cls, *a: calls.append(a) or new(cls, *a))
+    for text in ("<r,f | r^4=f^2=1, rfr=f>", "<a,b | (a b^-1)^3 = b a, a a^-1>", "<r | 1>"):
+        parse_presentation(text)
+    assert calls == []
+    Presentation(("r",), ())
+    assert len(calls) == 1
 
 
 def test_format_word_styles():
