@@ -1,16 +1,16 @@
 """Edge-colored digraphs: Cayley graph generation and recognition.
 
-A candidate graph has one permutation per color (directed colors are node
-successions, undirected colors are perfect matchings).  The graph is a Cayley
-graph iff it is connected and the color permutations generate a group acting
-regularly on the nodes.  A connected graph's action is regular iff each
-generator's left multiplication, built along a BFS tree, commutes with every
-color; only a disconnected graph, or ``full_order`` on a graph that is not
-regular, lists the group's elements, up to ``MAX_TABLE_CELLS`` node images
-in all.  Either way the graph's loops present a group, read off the graph
-as its finest regular quotient (a Cayley graph is its own), whose classes
-are the closed coset table of the loop presentation: on every graph the
-coset cap bounds the presented group's order, and no coset is enumerated.
+A graph has one permutation per color (directed: node successions,
+undirected: perfect matchings), checked only as its ``ColoredDigraph`` is
+made.  It is a Cayley graph iff it is connected and the color permutations
+generate a group acting regularly on the nodes.  A connected graph's action
+is regular iff each generator's left multiplication, built along a BFS tree,
+commutes with every color; only a disconnected graph, or ``full_order`` on a
+graph that is not regular, lists the group's elements, up to
+``MAX_TABLE_CELLS`` node images in all.  Either way the graph's loops present
+a group, read off the graph as its finest regular quotient (a Cayley graph
+is its own), whose classes are the closed coset table of the loop
+presentation: the coset cap bounds its order, and no coset is enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .groups import (
     MAX_TABLE_CELLS, CapExceeded, Group, _left_multiplications, _spanning_tree, identify,
     subgroup_closure,
 )
-from .words import Presentation, _check_generator_names, format_word
+from .words import Presentation, _check_generator_names
 
 __all__ = [
     "GraphError",
@@ -67,7 +67,8 @@ class EdgeColor(namedtuple("EdgeColor", "name directed edges")):
 
 
 class ColoredDigraph(namedtuple("ColoredDigraph", "node_count colors labels")):
-    """Nodes 0..node_count-1, a tuple of EdgeColors, and optional unique labels."""
+    """Nodes 0..node_count-1, one or more EdgeColors, each a permutation or a
+    perfect matching, and optional unique labels: the one check of a graph."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -81,19 +82,38 @@ class ColoredDigraph(namedtuple("ColoredDigraph", "node_count colors labels")):
         for node, label in enumerate(labels or ()):
             if first.setdefault(label, node) != node:
                 raise GraphError(f"nodes {first[label]} and {node} share label {label!r}")
+        if not colors:
+            raise GraphError("graph has no colors")
         for color in colors:
-            seen = set()
+            # kept by node, so that a colour with fewer edges than it needs
+            # fails at its first bare node before anything of size n is built
+            image, indeg = {}, {}  # node -> its image, and a directed colour's in-degree
+            where = f"color {color.name!r}"
             for u, v in color.edges:
                 if not (0 <= u < node_count and 0 <= v < node_count):
-                    raise GraphError(
-                        f"color {color.name!r}: edge ({u},{v}) out of range"
-                    )
-                key = (u, v) if color.directed else (min(u, v), max(u, v))
-                if key in seen:
-                    raise GraphError(
-                        f"color {color.name!r}: duplicate edge ({u},{v})"
-                    )
-                seen.add(key)
+                    raise GraphError(f"{where}: edge ({u},{v}) out of range")
+                if u == v:
+                    raise GraphError(f"{where}: self-loop at node {u}")
+                if u in image or (v in image and not color.directed):
+                    if image.get(u) == v:  # the edge's first copy mapped u to v
+                        raise GraphError(f"{where}: duplicate edge ({u},{v})")
+                    raise GraphError(f"{where}: node " + (
+                        f"{u} has two outgoing edges" if color.directed
+                        else f"{u if u in image else v} is matched twice"
+                    ))
+                image[u] = v
+                if color.directed:
+                    indeg[v] = indeg.get(v, 0) + 1
+                else:
+                    image[v] = u
+            for node in range(node_count):
+                if node not in image:
+                    raise GraphError(f"{where}: node {node} " + (
+                        "has no outgoing edge" if color.directed
+                        else "is unmatched (an order-2 generator fixes no vertex)"
+                    ))
+                if color.directed and (k := indeg.get(node, 0)) != 1:
+                    raise GraphError(f"{where}: node {node} has {k} incoming edges")
         return super().__new__(cls, node_count, colors, labels)
 
     def label_of(self, node: int) -> str:
@@ -101,37 +121,15 @@ class ColoredDigraph(namedtuple("ColoredDigraph", "node_count colors labels")):
 
 
 def color_permutations(graph: ColoredDigraph) -> list[tuple[int, ...]]:
-    """One permutation per color; raises GraphError naming the offender."""
-    if not graph.colors:
-        raise GraphError("graph has no colors")
-    n = graph.node_count
+    """One permutation per colour, as the graph's constructor checked it is."""
     perms = []
     for color in graph.colors:
-        # kept by node, so that a colour with fewer edges than it needs fails
-        # at its first bare node before anything of size n is built
-        image: dict[int, int] = {}
-        indeg: dict[int, int] = {}
-        where = f"color {color.name!r}"
+        image = [0] * graph.node_count
         for u, v in color.edges:
-            if u == v:
-                raise GraphError(f"{where}: self-loop at node {u}")
-            if color.directed and u in image:
-                raise GraphError(f"{where}: node {u} has two outgoing edges")
-            if not color.directed and (u in image or v in image):
-                raise GraphError(f"{where}: node {u if u in image else v} is matched twice")
             image[u] = v
-            indeg[v] = indeg.get(v, 0) + 1
             if not color.directed:
                 image[v] = u
-        for node in range(n):
-            if node not in image:
-                raise GraphError(f"{where}: node {node} " + (
-                    "has no outgoing edge" if color.directed
-                    else "is unmatched (an order-2 generator fixes no vertex)"
-                ))
-            if color.directed and indeg.get(node, 0) != 1:
-                raise GraphError(f"{where}: node {node} has {indeg.get(node, 0)} incoming edges")
-        perms.append(tuple(image[node] for node in range(n)))
+        perms.append(tuple(image))
     return perms
 
 
@@ -224,7 +222,7 @@ def is_cayley(
     A transitive group has order n times the size of a point stabiliser, so
     a connected graph's order is n when it is its own finest regular
     quotient, an O(n k^2) check for k colours, and past n otherwise; only
-    ``full_order`` lists a non-regular group's elements to count them."""
+    ``full_order`` lists a non-regular group's elements.  Raises no GraphError."""
     perms = color_permutations(graph)
     return _verdict(perms, _regular_quotient(perms), full_order, order_cap)
 
@@ -273,8 +271,8 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
 def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     """Generators are the colors; loops through a BFS spanning tree give
     the relators (one per non-tree edge, plus c^2 per undirected color).
-    Raises CapExceeded before building relators of more than MAX_TABLE_CELLS
-    letters in all, counted from the depths of each loop's ends."""
+    Raises GraphError if disconnected, ValueError on a bad colour name, and
+    CapExceeded before building over MAX_TABLE_CELLS letters (from loop depths)."""
     perms = color_permutations(graph)
     n = graph.node_count
     inv_perms = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
@@ -354,10 +352,9 @@ def _regular_coset_table(
 ) -> cosets.CosetTable:
     """The closed coset table of a graph's loop presentation: the colour
     columns of its finest regular quotient, whose m points are m cosets.
-    Any point can be coset 0, the base's class or not, and a relator that
-    fixes one point of a regular action fixes them all (left multiplication
-    is a colour-preserving automorphism), so tracing each from coset 0
-    checks the table."""
+    Every relator is a loop of the graph, and a loop that closes at one point
+    of a regular action closes at all (left multiplication is a colour-
+    preserving automorphism), so the table closes each and none is traced."""
     cosets.check_max_cosets(max_cosets, presentation.rank)
     n = len(columns[0])
     if n > max_cosets:
@@ -365,14 +362,7 @@ def _regular_coset_table(
             f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes has {n} cosets)", n
         )
     inverses = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in columns)
-    table = cosets.CosetTable(presentation, tuple(columns), inverses, n)
-    for rel in presentation.relators:
-        if table.trace(0, rel) != 0:
-            raise RuntimeError(
-                f"coset table does not close relator "
-                f"{format_word(rel, presentation.generators)} at coset 0"
-            )
-    return table
+    return cosets.CosetTable(presentation, tuple(columns), inverses, n)
 
 
 def analyze(

@@ -35,24 +35,31 @@ class TableError(ValueError):
     pass
 
 
+def _check_shape(symbols, cells) -> int:
+    """n, once a table is checked to have n distinct symbols and n rows of n cells."""
+    n = len(symbols)
+    if n == 0:
+        raise TableError("table needs at least one symbol")
+    if len(set(symbols)) != n:
+        raise TableError("duplicate header symbol")
+    if len(cells) != n:
+        raise TableError(f"expected {n} rows, got {len(cells)}")
+    for i, row in enumerate(cells):
+        if len(row) != n:
+            raise TableError(f"row {i} has {len(row)} cells, expected {n}")
+    return n
+
+
 class FiniteTable(namedtuple("FiniteTable", "symbols cells")):
     """A square table: n distinct header symbols and n rows of n symbol
-    indices, cell (i, j) being symbol i times symbol j."""
+    indices, cell (i, j) being symbol i times symbol j; ``parse_table`` skips the cell scan."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, symbols: tuple[str, ...], cells: tuple[tuple[int, ...], ...]):
-        n = len(symbols)
-        if n == 0:
-            raise TableError("table needs at least one symbol")
-        if len(set(symbols)) != n:
-            raise TableError("duplicate header symbol")
-        if len(cells) != n:
-            raise TableError(f"expected {n} rows, got {len(cells)}")
+        n = _check_shape(symbols, cells)
         for i, row in enumerate(cells):
-            if len(row) != n:
-                raise TableError(f"row {i} has {len(row)} cells, expected {n}")
             for x in row:
                 if not 0 <= x < n:
                     raise TableError(f"cell value {x} out of range in row {i}")
@@ -67,9 +74,9 @@ class FiniteTable(namedtuple("FiniteTable", "symbols cells")):
 
 
 def parse_table(text: str) -> FiniteTable:
-    """The table a text holds.  A header past the dense-table cap raises
-    CapExceeded before any body row is split; each row is mapped to symbol
-    indices as it is split, so no row's strings outlive it."""
+    """The table a text holds; each cell is an index into the header, so only
+    its shape is checked.  A header past the dense-table cap raises CapExceeded
+    before any body row is split, and no row's strings outlive its mapping."""
     rows = (line.split() for line in text.splitlines())
     rows = (row for row in rows if row and not row[0].startswith("#"))
     symbols = tuple(next(rows, ()))
@@ -83,7 +90,8 @@ def parse_table(text: str) -> FiniteTable:
             cells.append(tuple(map(index.__getitem__, row)))
         except KeyError as missing:
             raise TableError(f"row {i} contains unknown symbol {missing.args[0]!r}") from None
-    return FiniteTable(symbols, tuple(cells))
+    _check_shape(symbols, cells)
+    return tuple.__new__(FiniteTable, (symbols, tuple(cells)))
 
 
 def render_table(G: Group) -> str:

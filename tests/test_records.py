@@ -56,6 +56,8 @@ def test_replace_checks_as_the_constructor_does():
         (center(families.dihedral(4)), {"members": (1,)}, "identity as least member"),
         (table, {"cells": ((0, 1),)}, "expected 2 rows, got 1"),
         (fixture("petersen"), {"node_count": 0}, "at least one node"),
+        (fixture("petersen"), {"colors": (EdgeColor("red", True, ((0, 1), (1, 0))),)},
+         "node 2 has no outgoing edge"),
     ]
     for record, change, message in cases:
         with pytest.raises(ValueError, match=message):
