@@ -13,7 +13,10 @@ refused with ``CapExceeded`` before any row is built.
 Structural invariants come from the greedy generating sequence
 (``_generating_sequence``) and the element orders, which each ``Group``
 computes once: commuting generators, the centre, the commutators' normal
-closure, and invariant factors read off the order histogram.
+closure, and invariant factors read off the order histogram.  Maps and
+normality are checked along it too: ``is_normal`` conjugates by the
+generators, and ``is_isomorphic`` walks the span of the generators it has
+mapped, since a map that respects each generator there is a homomorphism.
 """
 
 from __future__ import annotations
@@ -264,7 +267,7 @@ def _check_axioms(rows):
         kind, i, _ = violation
         raise GroupError(f"{kind} {i} is not a permutation (not a Latin square)")
     # no inverse check: in an associative loop, x*y = e makes y*x idempotent, so e
-    if not _light_test(rows, 0):
+    if not _light_test(rows, _generating_sequence(rows, 0)):
         x, y, z = _first_witness(rows)
         raise GroupError(f"associativity fails at ({x},{y},{z})")
 
@@ -310,11 +313,10 @@ def _generating_sequence(rows, identity=None) -> list[int]:
     return gens
 
 
-def _light_test(rows, identity=None) -> bool:
+def _light_test(rows, gens) -> bool:
     """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
-    of a generating set.  It is exact for any magma, because the middle
-    elements that pass form a submagma; the identity passes trivially."""
-    gens = _generating_sequence(rows, identity)
+    of a generating sequence ``gens``.  It is exact for any magma, because the
+    middle elements that pass form a submagma; the identity passes trivially."""
     return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
 
 
@@ -392,10 +394,12 @@ def derived_subgroup(G: Group) -> Subgroup:
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
+    """Whether each generator conjugates H into H.  That suffices: in a finite
+    group each inverse is a positive word in the generators."""
     t, inv = G.table, G.inverse
     members = set(H.members)
     return all(
-        t[t[g][h]][inv[g]] in members for g in range(G.order) for h in H.members
+        t[t[g][h]][inv[g]] in members for g in G.generating_sequence() for h in H.members
     )
 
 
@@ -488,7 +492,11 @@ def is_isomorphic(G: Group, H: Group):
 
     Backtracks over images of a greedy minimal generating sequence of G;
     candidate images are those of the same order and centraliser order, tried
-    in ascending element order, so the result is deterministic.
+    in ascending element order, so the result is deterministic.  Each partial
+    map is checked by a walk from the identity over the span of the assigned
+    generators: every step x -> x*g must land on phi(x)*phi(g), and no image
+    may be used twice.  A map that respects each generator on the whole span
+    is a homomorphism there, by induction on word length.
     """
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
@@ -498,48 +506,39 @@ def is_isomorphic(G: Group, H: Group):
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
     gens = G.generating_sequence()
 
-    def saturate(phi: dict[int, int], g: int):
-        """Close phi under products; None unless it stays well defined and injective."""
-        images = set(phi.values())
-        queue = [g]  # phi was closed before g: only pairs with a new element are new
-        while queue:
-            a = queue.pop()
-            for b in list(phi):
-                for x, y in (
-                    (G.table[a][b], H.table[phi[a]][phi[b]]),
-                    (G.table[b][a], H.table[phi[b]][phi[a]]),
-                ):
-                    if x in phi:
-                        if phi[x] != y:
-                            return None
-                    elif y in images:
-                        return None
-                    else:
-                        phi[x] = y
-                        images.add(y)
-                        queue.append(x)
-        return phi
+    def walk(assigned: list[tuple[int, int]]):
+        """phi on the span of the assigned (g, phi(g)) pairs, or None unless
+        it is well defined and injective."""
+        phi, queue = {0: 0}, [0]
+        for x in queue:  # a BFS queue, appended to while walked
+            for g, h in assigned:
+                y, z = G.table[x][g], H.table[phi[x]][h]
+                if y not in phi:
+                    phi[y] = z
+                    queue.append(y)
+                elif phi[y] != z:
+                    return None
+        return phi if len(set(phi.values())) == len(phi) else None
 
-    def extend(phi: dict[int, int], k: int):
+    def extend(phi: dict[int, int], assigned: list[tuple[int, int]], k: int):
         if k == len(gens):
             return phi if len(phi) == n else None
         g = gens[k]
         if g in phi:
-            return extend(phi, k + 1)
+            return extend(phi, assigned, k + 1)
         used = set(phi.values())
         for h in range(n):
             if h in used or kind_h[h] != kind_g[g]:
                 continue
-            trial = saturate({**phi, g: h}, g)
-            if trial is None:
-                continue
-            result = extend(trial, k + 1)
+            trial = [*assigned, (g, h)]
+            span = walk(trial)
+            result = None if span is None else extend(span, trial, k + 1)
             if result is not None:
                 return result
         return None
 
-    # closed under products, injective and defined on all of G: an isomorphism
-    phi = extend({0: 0}, 0)
+    # a homomorphism, injective and defined on the span of all of G: an isomorphism
+    phi = extend({0: 0}, [], 0)
     return None if phi is None else tuple(phi[g] for g in range(n))
 
 

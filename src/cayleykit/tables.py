@@ -61,8 +61,8 @@ class FiniteTable(namedtuple("FiniteTable", "symbols cells")):
         n = _check_shape(symbols, cells)
         for i, row in enumerate(cells):
             for x in row:
-                if not 0 <= x < n:
-                    raise TableError(f"cell value {x} out of range in row {i}")
+                if not isinstance(x, int) or not 0 <= x < n:
+                    raise TableError(f"cell value {x!r} out of range in row {i}")
         return super().__new__(cls, symbols, cells)
 
     @property
@@ -178,9 +178,10 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     rejection, to name the first failing triple.
     """
     violation = latin_check(t)
-    identity = identity_check(t)
-    e = None if identity is None else t.symbols.index(identity)
-    witness = None if _light_test(t.cells, e) else associativity_witness(t)
+    e = _two_sided_identity(t.cells)
+    identity = None if e is None else t.symbols[e]
+    gens = _generating_sequence(t.cells, e)
+    witness = None if _light_test(t.cells, gens) else associativity_witness(t)
     rejection = _first_failed_axiom(t, violation, e, witness)
     if rejection is not None:
         return TableGroupResult(None, None, rejection, violation, identity, witness)
@@ -188,9 +189,7 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     # order; the table's generating sequence acts on the new numbering
     new_order = [e] + [i for i in range(t.order) if i != e]
     pos = {old: new for new, old in enumerate(new_order)}
-    columns = [
-        [pos[t.cells[a][s]] for a in new_order] for s in _generating_sequence(t.cells, e)
-    ]
+    columns = [[pos[t.cells[a][s]] for a in new_order] for s in gens]
     names = [t.symbols[i] for i in new_order]
     group = group_from_action(columns, element_names=names)
     return TableGroupResult(group, identify(group), None, violation, identity, witness)

@@ -1,14 +1,18 @@
 """The benchmark's span recorder finds cayleykit's functions by name; a name it
-wraps that is gone from the package would silently read as zero time."""
+wraps that is gone from the package would silently read as zero time.  The
+benchmark's workload descriptions live in two files that must agree."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import pathlib
 
 from cayleykit import graphs
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -37,3 +41,15 @@ def test_is_cayley_binds_the_arguments_its_work_count_reads():
     # Petersen is connected but not regular: the count is one past its 10 nodes
     note = spans.WORK_COUNTS["graphs.is_cayley"]
     assert note(bound.arguments, graphs.is_cayley(graph), None) == {"perms": 11}
+
+
+def test_workload_descriptions_match_the_benchmark_declaration():
+    # read, not imported: WHY is the literal dict assigned in workloads.py
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    (why,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "WHY"
+    ]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert [(w["name"], w["why"]) for w in declared] == list(why.items())

@@ -304,6 +304,21 @@ def test_is_normal():
     assert is_normal(D4, center(D4))
 
 
+def test_is_normal_matches_conjugation_by_every_element():
+    # conjugating by the generators suffices: in a finite group each inverse
+    # is a positive word in them
+    for G in CATALOG:
+        if G.order > 32:
+            continue
+        t, inv = G.table, G.inverse
+        for H in enumerate_subgroups(G):
+            members = set(H.members)
+            normal = all(
+                t[t[g][h]][inv[g]] in members for g in range(G.order) for h in H.members
+            )
+            assert is_normal(G, H) == normal
+
+
 def test_normal_closure():
     D4 = families.dihedral(4)
     f = dict(D4.generators)["f"]
@@ -537,6 +552,70 @@ def first_isomorphism_by_element_orders(G, H):
     return phi and tuple(phi[g] for g in range(G.order))
 
 
+def pairwise_isomorphism(G, H):
+    """The isomorphism search that closes each partial map under the product
+    of every pair of mapped elements, in both orders, with candidates pruned
+    by element order and centraliser order: the first mapping, in ascending
+    candidate order, of G's generating sequence."""
+    if G.order != H.order or G.fingerprint() != H.fingerprint():
+        return None
+    n = G.order
+    kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
+    kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
+    gens = _generating_sequence(G.table, 0)
+
+    def saturate(phi, g):
+        images = set(phi.values())
+        queue = [g]
+        while queue:
+            a = queue.pop()
+            for b in list(phi):
+                for x, y in (
+                    (G.table[a][b], H.table[phi[a]][phi[b]]),
+                    (G.table[b][a], H.table[phi[b]][phi[a]]),
+                ):
+                    if x in phi:
+                        if phi[x] != y:
+                            return None
+                    elif y in images:
+                        return None
+                    else:
+                        phi[x] = y
+                        images.add(y)
+                        queue.append(x)
+        return phi
+
+    def extend(phi, k):
+        if k == len(gens):
+            return phi if len(phi) == n else None
+        g = gens[k]
+        if g in phi:
+            return extend(phi, k + 1)
+        used = set(phi.values())
+        for h in range(n):
+            if h in used or kind_h[h] != kind_g[g]:
+                continue
+            trial = saturate({**phi, g: h}, g)
+            if trial is None:
+                continue
+            result = extend(trial, k + 1)
+            if result is not None:
+                return result
+        return None
+
+    phi = extend({0: 0}, 0)
+    return None if phi is None else tuple(phi[g] for g in range(n))
+
+
+# non-isomorphic catalog groups with equal fingerprints
+FINGERPRINT_TWINS = [
+    ("DQ_16", "SD_8xC_2"),
+    ("DQ_32", "SD_16xC_2"),
+    ("Q_8xC_2xC_2xC_2", "DQ_8xC_4"),
+    ("SD_8xC_2xC_2", "DQ_16xC_2"),
+]
+
+
 def test_pruned_search_keeps_the_mapping():
     # candidates are tried in ascending order either way, and an isomorphism
     # is injective and keeps centraliser orders, so pruning on them finds the
@@ -545,6 +624,23 @@ def test_pruned_search_keeps_the_mapping():
     for G, H in pairs:
         assert is_isomorphic(G, H) == first_isomorphism_by_element_orders(G, H)
         assert is_isomorphic(H, G) == first_isomorphism_by_element_orders(H, G)
+    # a map that respects each assigned generator on their whole span is a
+    # homomorphism there, so walking the span accepts the maps that closing
+    # every pair of products accepts, and the search returns the same value
+    named = {
+        name: build()
+        for order in range(1, 65)
+        for name, _, build in families.nonabelian_catalog(order)
+    }
+    assert len(named) == 120
+    twins = [(named[a], named[b]) for a, b in FINGERPRINT_TWINS]
+    pairs = [(G, relabelled_group(G, seed)) for seed, G in enumerate(named.values())]
+    pairs.append((families.dihedral(420), relabelled_group(families.dihedral(420), 420)))
+    for G, H in pairs + twins:
+        for A, B in ((G, H), (H, G)):
+            phi = is_isomorphic(A, B)
+            assert phi == pairwise_isomorphism(A, B)
+            assert (phi is None) == ((G, H) in twins)
 
 
 def test_fingerprint_fields():

@@ -55,6 +55,8 @@ def test_replace_checks_as_the_constructor_does():
         (parse_presentation("<a,b | a^2>"), {"generators": ("a", "a")}, "duplicate generator"),
         (center(families.dihedral(4)), {"members": (1,)}, "identity as least member"),
         (table, {"cells": ((0, 1),)}, "expected 2 rows, got 1"),
+        (table, {"cells": ((0, 1), (1, 0.0))}, "cell value 0.0 out of range"),
+        (table, {"cells": (("e", "a"), ("a", "e"))}, "cell value 'e' out of range"),
         (fixture("petersen"), {"node_count": 0}, "at least one node"),
         (fixture("petersen"), {"colors": (EdgeColor("red", True, ((0, 1), (1, 0))),)},
          "node 2 has no outgoing edge"),

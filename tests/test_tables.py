@@ -9,6 +9,7 @@ from cayleykit import families
 from cayleykit.groups import (
     Group,
     GroupError,
+    _generating_sequence,
     _light_test,
     is_isomorphic,
     quotient,
@@ -90,6 +91,17 @@ def test_parser_skips_the_record_scan(monkeypatch):
     assert len(calls) == len(tables)
 
 
+def test_constructor_refuses_cells_that_are_not_indices():
+    # as Group(table) does: a symbol, None or a float is no index into the header
+    for bad in ("a", None, 1.0):
+        with pytest.raises(TableError, match=f"^cell value {bad!r} out of range in row 1$"):
+            FiniteTable(("a", "b"), ((0, 1), (1, bad)))
+    with pytest.raises(TableError, match="^cell value 'a' out of range in row 0$"):
+        FiniteTable(("a", "b"), (("a", "b"), ("b", "a")))
+    with pytest.raises(TableError, match="^cell value 2 out of range in row 0$"):
+        FiniteTable(("a", "b"), ((2, 1), (1, 0)))
+
+
 # --- axiom checks ----------------------------------------------------------------
 
 
@@ -168,10 +180,11 @@ def test_group_tables_have_no_witness():
 
 
 def test_light_agrees_on_samples():
-    assert _light_test(CYCLIC5.cells)
-    assert not _light_test(NONASSOC5.cells)
+    assert _light_test(CYCLIC5.cells, _generating_sequence(CYCLIC5.cells))
+    assert not _light_test(NONASSOC5.cells, _generating_sequence(NONASSOC5.cells))
     for G in (families.dihedral(4), families.quaternion(8), families.cyclic(7)):
-        assert _light_test(table_from_group(G).cells)
+        cells = table_from_group(G).cells
+        assert _light_test(cells, _generating_sequence(cells))
 
 
 def test_light_agrees_on_fuzzed_perturbations():
@@ -181,7 +194,8 @@ def test_light_agrees_on_fuzzed_perturbations():
         t = intercalate_perturb(base, rng)
         if t is None:
             continue
-        assert _light_test(t.cells) == (associativity_witness(t) is None)
+        light = _light_test(t.cells, _generating_sequence(t.cells))
+        assert light == (associativity_witness(t) is None)
 
 
 def intercalate_perturb(t, rng):
@@ -252,7 +266,7 @@ def perturbed_group_tables(draw):
 @given(st.one_of(small_magmas(), perturbed_group_tables()))
 def test_light_and_reported_witness_agree_with_full_scan(t):
     first = first_witness_by_brute_force(t)
-    assert _light_test(t.cells) == (first is None)
+    assert _light_test(t.cells, _generating_sequence(t.cells)) == (first is None)
     result = group_from_table(t)  # what check-table and identify --table report
     assert result.witness == first
     if result.rejection is not None and result.rejection.witness is not None:
