@@ -20,7 +20,7 @@ import os
 import sys
 import time
 
-from .groups import CapExceeded, Group, identify, normal_closure, quotient as group_quotient
+from .groups import CapExceeded, Identification, identify, normal_closure, quotient as group_quotient
 from .words import evaluate_word, format_presentation, parse_presentation, parse_word
 
 SCHEMA_VERSION = 1
@@ -42,12 +42,11 @@ def default_max_cosets() -> int:
         raise ValueError(f"CAYLEY_MAX_COSETS must be an integer, got {value!r}")
 
 
-def group_report(G: Group) -> dict:
-    ident = identify(G)
+def group_report(ident: Identification) -> dict:
     return {
-        "order": G.order,
+        "order": ident.fingerprint.order,
         "identified": ident.describe(),
-        "fingerprint": G.fingerprint()._asdict(),
+        "fingerprint": ident.fingerprint._asdict(),
     }
 
 
@@ -66,7 +65,7 @@ def cmd_enumerate(args) -> tuple[dict, list[str], str | None]:
     report = {
         "presentation": format_presentation(presentation),
         "status": "closed",
-        **group_report(G),
+        **group_report(identify(G)),
     }
     human = [
         f"presentation: {report['presentation']}",
@@ -81,7 +80,7 @@ def cmd_identify(args) -> tuple[dict, list[str], str | None]:
         from . import cosets
         presentation = parse_presentation(args.presentation)
         G = cosets.group_from_presentation(presentation, default_max_cosets())
-        report = {"source": "presentation", **group_report(G)}
+        report = {"source": "presentation", **group_report(identify(G))}
     elif args.graph:
         from . import graphs
         graph = graphs.load_graph_json(_read(args.graph))
@@ -97,7 +96,7 @@ def cmd_identify(args) -> tuple[dict, list[str], str | None]:
         from . import tables
         result = tables.group_from_table(tables.parse_table(_read(args.table)))
         if result.ok:
-            report = {"source": "table", **group_report(result.group)}
+            report = {"source": "table", **group_report(result.identification)}
         else:
             report = {
                 "source": "table",
@@ -241,7 +240,7 @@ def cmd_make(args) -> tuple[dict, list[str], str | None]:
     report = {
         "family": spec.kind,
         "params": list(spec.params),
-        **group_report(G),
+        **group_report(identify(G)),
         "generators": [name for name, _ in G.generators],
     }
     human = [

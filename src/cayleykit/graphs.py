@@ -355,7 +355,6 @@ def _regular_coset_table(
     Every relator is a loop of the graph, and a loop that closes at one point
     of a regular action closes at all (left multiplication is a colour-
     preserving automorphism), so the table closes each and none is traced."""
-    cosets.check_max_cosets(max_cosets, presentation.rank)
     n = len(columns[0])
     if n > max_cosets:
         raise CapExceeded(
@@ -375,8 +374,10 @@ def analyze(
 
     A disconnected graph is refused before any closure runs.  The presented
     group is the finest regular quotient, the graph itself if it is a Cayley
-    graph; its order is charged against ``max_cosets``."""
+    graph; its order is charged against ``max_cosets``, and the cap itself is
+    checked against the colour count before the O(n k^2) quotient runs."""
     presentation = extract_presentation(graph, base)
+    cosets.check_max_cosets(max_cosets, presentation.rank)
     perms = color_permutations(graph)
     quotient = _regular_quotient(perms)
     verdict = _verdict(perms, quotient, full_order)

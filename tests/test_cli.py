@@ -313,6 +313,24 @@ def test_identify_rejects_nongroup_table(capsys):
     assert "not a group" in out
 
 
+def test_identify_table_names_an_accepted_table_once(tmp_path, capsys, monkeypatch):
+    # the table route names the group as it accepts it, and the report reuses
+    # that name: one catalog search per table, abelian or not
+    from cayleykit import families, groups, tables
+    d3 = tmp_path / "d3.txt"
+    d3.write_text(tables.render_table(families.dihedral(3)))
+    calls, identify = [], groups.identify
+    counted = lambda G: calls.append(G) or identify(G)
+    for module in ("cli", "groups", "tables"):
+        monkeypatch.setattr(f"cayleykit.{module}.identify", counted)
+    for path, name in ((DATA / "latin_cyclic5.txt", "C_5"), (d3, "D_3")):
+        for extra in ([], ["--json"]):
+            calls.clear()
+            code, out = run_cli(["identify", "--table", str(path), *extra], capsys)
+            assert code == 0 and name in out
+            assert len(calls) == 1
+
+
 def test_fixture_requires_name_or_all(capsys):
     code, _ = run_cli(["fixture"], capsys)
     assert code == 2

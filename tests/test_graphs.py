@@ -847,8 +847,19 @@ def test_regular_table_refuses_open_relator_and_cap():
     # traced again; assert_read_as_enumerated checks it at every coset
     with pytest.raises(CapExceeded):
         _regular_coset_table(presentation, perms, 15)
+
+
+def test_analyze_checks_the_cap_before_the_quotient(monkeypatch):
+    # the cap is checked against the colour count before the O(n k^2)
+    # regularity test: a cap out of range builds no quotient
+    calls = []
+    monkeypatch.setattr("cayleykit.graphs._regular_quotient", calls.append)
+    many = ColoredDigraph(2, tuple(EdgeColor(f"c{i}", False, ((0, 1),)) for i in range(300)))
+    with pytest.raises(ValueError, match="at most 27962 for 300 generators"):
+        analyze(many)
     with pytest.raises(ValueError, match="at least 1"):
-        _regular_coset_table(presentation, perms, 0)
+        analyze(fixture("mirror16"), max_cosets=0)
+    assert calls == []
 
 
 # --- the regularity verdict against the closure ----------------------------------

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from itertools import combinations
 from math import isqrt, lcm
 
 import pytest
@@ -371,6 +372,10 @@ def test_enumerate_subgroups_counts():
     # every subgroup order divides the group order (checked internally too)
     for s in subs:
         assert 8 % s.order == 0
+    # elementary abelian p-groups: the sum over k of the Gaussian binomials
+    # [n choose k]_p counts the subgroups of C_p^n
+    for factors, count in (([2] * 4, 67), ([2] * 5, 374), ([3] * 3, 28)):
+        assert len(enumerate_subgroups(families.abelian(factors))) == count
 
 
 def test_enumerate_subgroups_cap():
@@ -858,6 +863,46 @@ def shuffled_tables(draw):
 )
 def test_invariants_match_pairwise_definitions(G):
     assert_invariants_match_oracle(G)
+
+
+# --- subgroups by cyclic extension, against pairwise joins ----------------------
+
+
+def pairwise_subgroups(G):
+    """Every subgroup's members, sorted by (order, members): the cyclic
+    subgroups, closed by joining every pair found, round after round."""
+    found = {subgroup_closure(G, (g,)).members for g in range(G.order)}
+    while True:
+        new = set()
+        for a, b in combinations(sorted(found), 2):
+            if set(a) <= set(b) or set(b) <= set(a):
+                continue
+            joined = subgroup_closure(G, set(a) | set(b)).members
+            if joined not in found:
+                new.add(joined)
+        if not new:
+            return sorted(found, key=lambda m: (len(m), m))
+        found |= new
+
+
+def test_subgroups_match_pairwise_joins():
+    # C_2^5 is left out: pairwise joins alone take seconds on its 374
+    # subgroups; test_enumerate_subgroups_counts checks its count
+    small = [G for name, G in families.catalog_groups(32) if name != "C_2xC_2xC_2xC_2xC_2"]
+    presented = [
+        group_from_presentation(parse_presentation(text))
+        for text in COMMUTATORS_NEED_CONJUGATES
+    ]
+    assert len(small) == 96
+    for G in small + presented:
+        assert [s.members for s in enumerate_subgroups(G)] == pairwise_subgroups(G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presented_groups())
+def test_subgroups_match_pairwise_joins_on_presented_groups(G):
+    assume(G.order <= 64)
+    assert [s.members for s in enumerate_subgroups(G)] == pairwise_subgroups(G)
 
 
 # --- building a group from an action, against the direct definitions ----------
