@@ -40,7 +40,8 @@ from collections import namedtuple
 from itertools import groupby
 
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _spanning_tree, group_from_action
+    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _acting_group, _spanning_tree,
+    check_table_cells,
 )
 from .words import Presentation, Word, format_word
 
@@ -335,6 +336,7 @@ def group_from_coset_table(table: CosetTable) -> Group:
     either gains a letter or starts after the parent's whole name.
     """
     n = table.num_cosets
+    check_table_cells(n)
     names = table.presentation.generators
     tree = _spanning_tree(table.forward)
     if len(tree) != n - 1:
@@ -343,11 +345,13 @@ def group_from_coset_table(table: CosetTable) -> Group:
     order_of = [0] * n  # old coset -> new element index
     for i, old in enumerate(bfs):
         order_of[old] = i
+    # relabelled, the BFS visits the elements 0, 1, 2, ... in the same order,
+    # so this is the new columns' own tree
+    tree = [(i, order_of[parent], g) for i, (_, parent, g) in enumerate(tree, 1)]
     labels = ["1"]
     stems = [""]  # label up to the last run, with its "*"
     runs = [(-1, 0)]  # last run of the BFS word: (generator, exponent)
-    for _, parent, g in tree:
-        head = order_of[parent]
+    for _, head, g in tree:
         last, exp = runs[head]
         if last == g:
             stem, exp = stems[head], exp + 1
@@ -359,7 +363,7 @@ def group_from_coset_table(table: CosetTable) -> Group:
 
     succ = [[order_of[col[old]] for old in bfs] for col in table.forward]
     generators = tuple((name, succ[g][0]) for g, name in enumerate(names))
-    return group_from_action(succ, element_names=labels, generators=generators)
+    return _acting_group(succ, tree, labels, generators)
 
 
 def group_from_presentation(

@@ -257,11 +257,10 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
     if len(subgroup_closure(G, [el for _, el in gens]).members) != G.order:
         raise GraphError("the given elements do not generate the group")
     colors = []
+    t = G.table
     for name, el in gens:
         matching = G.element_orders()[el] == 2  # an involution's edges pair up
-        edges = tuple(
-            (g, G.table[g][el]) for g in range(G.order) if not matching or g < G.table[g][el]
-        )
+        edges = tuple((g, t[g][el]) for g in range(G.order) if not matching or g < t[g][el])
         colors.append(EdgeColor(name, not matching, edges))
     labels = G.element_names if G.element_names is not None else tuple(map(str, range(G.order)))
     # edges from the table are in range and distinct, and the labels unique

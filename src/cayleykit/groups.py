@@ -1,24 +1,24 @@
-"""Explicit finite groups as multiplication tables, plus structural queries.
+"""Explicit finite groups, their multiplication tables and structural queries.
 
-Element 0 is always the identity.  Every table the program builds comes
-from ``group_from_action``, which turns the right action of a generating
-set on the elements (a closed coset table, a matrix closure, a Cayley
-graph's colours, a quotient's cosets, a direct product's pairs, a checked
-table's symbols, a subgroup's members) into a table that is a group by
-construction.  ``Group(table)`` is for tables from outside only: each must
-be a Latin square with identity 0 and pass Light's associativity test.  A
-dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger one is
-refused with ``CapExceeded`` before any row is built.
+Element 0 is always the identity.  Every group the program builds comes
+from ``group_from_action``: the right action of a generating set on the
+elements (a closed coset table, a matrix closure, a Cayley graph's colours,
+a quotient's cosets, a direct product's pairs, a checked table's symbols, a
+subgroup's members), a group by construction.  The group keeps the action
+and builds its dense ``table`` and ``inverse`` on their first read.
+``Group(table)`` is for tables from outside only: each must be a Latin
+square with identity 0 and pass Light's associativity test.  A dense table
+holds at most ``MAX_TABLE_CELLS`` cells; a larger group is refused with
+``CapExceeded`` before it is built.
 
-Structural invariants come from the greedy generating sequence
-(``_generating_sequence``) and the element orders, which each ``Group``
-computes once: commuting generators, the centre, the commutators' normal
-closure, and invariant factors read off the order histogram.  Maps and
-normality are checked along it too: ``is_normal`` conjugates by the
-generators, and ``is_isomorphic`` walks the span of the generators it has
-mapped, since a map that respects each generator there is a homomorphism.
-``enumerate_subgroups`` grows each subgroup found by one cyclic subgroup at
-a time.
+The fingerprint comes from the action, with no table: commuting generators,
+the centre, the commutators' normal closure and the element orders; the
+invariant factors are read off the order histogram.  Maps and normality are
+checked along the table's greedy generating sequence: ``is_normal``
+conjugates by it, and ``is_isomorphic`` walks the span of the generators it
+has mapped, since a map that respects each generator there is a
+homomorphism.  ``enumerate_subgroups`` grows each subgroup found by one
+cyclic subgroup at a time.
 """
 
 from __future__ import annotations
@@ -82,25 +82,32 @@ class Fingerprint(namedtuple(
 
 
 class Group:
-    """Finite group given by an n x n multiplication table over 0..n-1."""
+    """Finite group on the elements 0..n-1, kept as the right action of a
+    generating set: its columns, their BFS tree from 0 and their left
+    multiplications.  The n x n multiplication ``table`` and the ``inverse``
+    of each element are built on first read."""
 
     __slots__ = (
-        "order", "table", "inverse", "element_names", "generators", "_gens",
-        "_orders", "_centralizers", "_fp",
+        "order", "table", "inverse", "element_names", "generators", "_columns",
+        "_tree", "_left", "_gens", "_orders", "_centralizers", "_fp",
     )
 
     def __init__(self, table, element_names=None, generators=()):
-        """A table from outside, checked against the group axioms here;
+        """A table from outside, checked against the group axioms here; it
+        keeps its rows and acts by its greedy generating sequence.
         ``group_from_action`` builds every table of the program's own."""
         rows = tuple(tuple(row) for row in table)
-        _check_axioms(rows)
-        self._fill(rows, (row.index(0) for row in rows), element_names, generators)
+        gens = _check_axioms(rows)
+        columns = [[row[g] for row in rows] for g in gens]
+        left = [rows[g] for g in gens]
+        self._fill(columns, _spanning_tree(columns), left, element_names, generators)
+        self.table, self.inverse = rows, tuple(row.index(0) for row in rows)
+        self._gens = tuple(gens)
 
-    def _fill(self, rows, inverse, element_names, generators):
-        n = len(rows)
+    def _fill(self, columns, tree, left, element_names, generators):
+        n = len(columns[0]) if columns else 1
         self.order = n
-        self.table = rows
-        self.inverse = tuple(inverse)
+        self._columns, self._tree, self._left = columns, tree, left
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
             if len(names) != n or len(set(names)) != n:
@@ -118,9 +125,17 @@ class Group:
     def identity(self) -> int:
         return 0
 
+    def __getattr__(self, name):
+        """``table`` (row x holds x * y at y) and ``inverse``, left unset
+        until their first read builds both from the action."""
+        if name not in ("table", "inverse"):
+            raise AttributeError(name)
+        _build_table(self)
+        return getattr(self, name)
+
     def generating_sequence(self) -> tuple[int, ...]:
-        """The greedy generating sequence from the identity, computed on the
-        first call only; every structural invariant starts from it."""
+        """The greedy generating sequence of the table, computed on the first
+        call only; maps, normality and products start from it."""
         if self._gens is None:
             self._gens = tuple(_generating_sequence(self.table, 0))
         return self._gens
@@ -128,19 +143,32 @@ class Group:
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, computed on the first call only.
 
-        One walk of <g> from each element g not yet seen gives the whole
-        cyclic subgroup: g^k has order ord(g) / gcd(k, ord(g))."""
+        In BFS order, each element x with no order yet walks its powers by
+        its tree word; x^j has order m / gcd(j, m) for m the order of x, and
+        each element so ordered passes its order on to its conjugacy class,
+        its orbit under y -> s^-1 y s for the action's generators s."""
         if self._orders is None:
+            link = {x: (y, k) for x, y, k in self._tree}
+            conjugations = _conjugations(self)
             orders = [0] * self.order
-            for g, row in enumerate(self.table):
-                if orders[g]:
+            for x in [0, *link]:
+                if orders[x]:
                     continue
-                powers = [g]
-                while powers[-1]:
-                    powers.append(row[powers[-1]])
+                word, y = [], x
+                while y:
+                    y, k = link[y]
+                    word.append(self._columns[k])
+                word.reverse()
+                powers, p = [x], x
+                while p:
+                    for col in word:
+                        p = col[p]
+                    powers.append(p)
                 m = len(powers)
-                for k, x in enumerate(powers, 1):
-                    orders[x] = m // gcd(k, m)
+                for j, z in enumerate(powers, 1):
+                    if not orders[z]:  # then nor has its class: each is ordered whole
+                        for w in _orbit(z, conjugations):
+                            orders[w] = m // gcd(j, m)
             self._orders = tuple(orders)
         return self._orders
 
@@ -158,9 +186,10 @@ class Group:
         return Counter(self.element_orders())
 
     def is_abelian(self) -> bool:
-        t = self.table
-        gens = self.generating_sequence()
-        return all(t[a][b] == t[b][a] for a, b in combinations(gens, 2))
+        """Whether the action's generators commute: s t = L_s(t) against
+        t s = R_s(t) for each pair s, t."""
+        pairs = list(zip(self._left, self._columns))
+        return all(left[t[0]] == col[t[0]] for (left, col), (_, t) in combinations(pairs, 2))
 
     def exponent(self) -> int:
         return lcm(*self.element_orders())
@@ -224,33 +253,70 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     """The group acting regularly on points 0..n-1, with point 0 as identity.
 
     ``columns[k][x]`` is point x times generator k; no columns give the
-    trivial group.  A BFS from 0 gives the tree x = parent(x) * s(x).  Along
-    it, each row follows from its parent's and a generator's left
-    multiplication: row(y * s)[x] = row(y)[L_s(x)], and each inverse from its
-    parent's: (y * s)^-1 = s^-1 * y^-1.  The table is a group by
-    construction, so no axiom is checked.  Raises GroupError unless every
-    point is reached, CapExceeded if the table would exceed MAX_TABLE_CELLS.
+    trivial group.  The group is one by construction, so no axiom is checked;
+    it keeps the columns, the BFS tree x = parent(x) * s(x) from 0 and each
+    generator's left multiplication, and builds its table only when read.
+    Raises GroupError unless every point is reached, CapExceeded if the table
+    would exceed MAX_TABLE_CELLS.
     """
     n = len(columns[0]) if columns else 1
     check_table_cells(n)
     tree = _spanning_tree(columns)
     if len(tree) != n - 1:
         raise GroupError(f"action is not transitive: {len(tree) + 1} of {n} reached")
-    getters = [itemgetter(*left) for left in _left_multiplications(columns, tree)]
+    return _acting_group(columns, tree, element_names, generators)
+
+
+def _acting_group(columns, tree, element_names, generators) -> Group:
+    """``group_from_action`` past its checks, with ``tree`` the columns' BFS tree."""
+    G = object.__new__(Group)
+    G._fill(columns, tree, _left_multiplications(columns, tree), element_names, generators)
+    return G
+
+
+def _build_table(G: Group):
+    """G's rows and inverses along its BFS tree: each row follows from its
+    parent's and a generator's left multiplication, row(y * s)[x] =
+    row(y)[L_s(x)], and each inverse from its parent's, (y * s)^-1 =
+    s^-1 * y^-1."""
+    n, tree = G.order, G._tree
+    getters = [itemgetter(*left) for left in G._left]
     rows: list[tuple[int, ...]] = [()] * n
     rows[0] = tuple(range(n))
     for x, y, k in tree:
         rows[x] = getters[k](rows[y])
-    gen_inverse = [rows[col[0]].index(0) for col in columns]
+    gen_inverse = [rows[col[0]].index(0) for col in G._columns]
     inverse = [0] * n
     for x, y, k in tree:
         inverse[x] = rows[gen_inverse[k]][inverse[y]]
-    G = object.__new__(Group)
-    G._fill(tuple(rows), inverse, element_names, generators)
-    return G
+    G.table, G.inverse = tuple(rows), tuple(inverse)
 
 
-def _check_axioms(rows):
+def _inverse(perm) -> list[int]:
+    """The inverse of a permutation of 0..n-1: x sorted by its image."""
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def _conjugations(G: Group) -> list[list[int]]:
+    """Each action generator's map y -> s^-1 y s, that is L_s^-1(R_s(y))."""
+    return [list(map(_inverse(left).__getitem__, col)) for left, col in zip(G._left, G._columns)]
+
+
+def _orbit(x: int, maps) -> list[int]:
+    """The points that the maps, lists of images, take x to, x first."""
+    seen, orbit = {x}, [x]
+    for y in orbit:  # a BFS queue, appended to while walked
+        for image in maps:
+            z = image[y]
+            if z not in seen:
+                seen.add(z)
+                orbit.append(z)
+    return orbit
+
+
+def _check_axioms(rows) -> list[int]:
+    """Raise GroupError unless ``rows`` is a group table with identity 0;
+    return its greedy generating sequence, which Light's test reads."""
     n = len(rows)
     if n == 0:
         raise GroupError("empty multiplication table")
@@ -269,9 +335,11 @@ def _check_axioms(rows):
         kind, i, _ = violation
         raise GroupError(f"{kind} {i} is not a permutation (not a Latin square)")
     # no inverse check: in an associative loop, x*y = e makes y*x idempotent, so e
-    if not _light_test(rows, _generating_sequence(rows, 0)):
+    gens = _generating_sequence(rows, 0)
+    if not _light_test(rows, gens):
         x, y, z = _first_witness(rows)
         raise GroupError(f"associativity fails at ({x},{y},{z})")
+    return gens
 
 
 def _latin_violation(rows) -> tuple[str, int, int] | None:
@@ -355,7 +423,8 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
     def as_group(self) -> Group:
         """The subgroup as a standalone Group in member order."""
         parent, pos = self.parent, {m: i for i, m in enumerate(self.members)}
-        table = [[pos[parent.table[a][b]] for b in self.members] for a in self.members]
+        t = parent.table
+        table = [[pos[t[a][b]] for b in self.members] for a in self.members]
         columns = [[row[g] for row in table] for g in _generating_sequence(table, 0)]
         names = tuple(map(parent.name_of, self.members)) if parent.element_names else None
         return group_from_action(columns, element_names=names)
@@ -366,13 +435,14 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
     seed = tuple(seed)
     if not seed:
         raise GroupError("seed must be nonempty")
+    t = G.table
     members = {0}
     queue = [0]
     gens = sorted(set(seed))
     while queue:
         a = queue.pop()
         for g in gens:
-            b = G.table[a][g]
+            b = t[a][g]
             if b not in members:
                 members.add(b)
                 queue.append(b)
@@ -380,19 +450,23 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
 
 
 def center(G: Group) -> Subgroup:
-    """The elements that commute with each generator."""
-    t = G.table
-    gens = G.generating_sequence()
-    members = [z for z in range(G.order) if all(t[z][g] == t[g][z] for g in gens)]
+    """The z with L_s(z) = R_s(z), that is s z = z s, for each generator s
+    of G's action."""
+    pairs = list(zip(G._left, G._columns))
+    members = [z for z in range(G.order) if all(left[z] == col[z] for left, col in pairs)]
     return Subgroup(G, tuple(members))
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    """The normal closure of the commutators of the generators."""
-    t, inv = G.table, G.inverse
-    gens = G.generating_sequence()
-    comms = [t[t[inv[a]][inv[b]]][t[a][b]] for a, b in combinations(gens, 2)]
-    return normal_closure(G, comms)
+    """The normal closure of the commutators of the action's generators: the
+    orbit of 1 under y -> y [a, b] = y a^-1 b^-1 a b, four column steps, for
+    each pair a, b, and under conjugation by each generator."""
+    back = [_inverse(col) for col in G._columns]
+    commutators = [
+        [b[a[back[j][back[i][y]]]] for y in range(G.order)]
+        for (i, a), (j, b) in combinations(enumerate(G._columns), 2)
+    ]
+    return Subgroup(G, tuple(sorted(_orbit(0, commutators + _conjugations(G)))))
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
@@ -421,6 +495,7 @@ def quotient(G: Group, N: Subgroup) -> Group:
         raise GroupError("subgroup belongs to a different group")
     if not is_normal(G, N):
         raise GroupError("subgroup is not normal")
+    t = G.table
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in range(G.order):
@@ -429,11 +504,9 @@ def quotient(G: Group, N: Subgroup) -> Group:
         idx = len(reps)
         reps.append(g)
         for h in N.members:
-            coset_of[G.table[g][h]] = idx
+            coset_of[t[g][h]] = idx
     # coset rN times gN is (rg)N: G's generating sequence acts on the cosets
-    columns = [
-        [coset_of[G.table[r][g]] for r in reps] for g in G.generating_sequence()
-    ]
+    columns = [[coset_of[t[r][g]] for r in reps] for g in G.generating_sequence()]
     names = tuple(G.name_of(r) for r in reps)
     gens = []
     seen = set()
@@ -505,6 +578,7 @@ def is_isomorphic(G: Group, H: Group):
     kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
     gens = G.generating_sequence()
+    tg, th = G.table, H.table
 
     def walk(assigned: list[tuple[int, int]]):
         """phi on the span of the assigned (g, phi(g)) pairs, or None unless
@@ -512,7 +586,7 @@ def is_isomorphic(G: Group, H: Group):
         phi, queue = {0: 0}, [0]
         for x in queue:  # a BFS queue, appended to while walked
             for g, h in assigned:
-                y, z = G.table[x][g], H.table[phi[x]][h]
+                y, z = tg[x][g], th[phi[x]][h]
                 if y not in phi:
                     phi[y] = z
                     queue.append(y)
@@ -609,16 +683,11 @@ def identify(G: Group) -> Identification:
 
 def direct_product(G: Group, H: Group) -> Group:
     """G x H on the elements (a, b) numbered a * |H| + b, acted on by both
-    factors' generating sequences."""
+    factors' actions."""
     nb = H.order
     check_table_cells(G.order * nb)
-    columns = []
-    for g in G.generating_sequence():
-        column = [row[g] * nb for row in G.table]
-        columns.append([x + b for x in column for b in range(nb)])
-    for h in H.generating_sequence():
-        column = [row[h] for row in H.table]
-        columns.append([a + y for a in range(0, G.order * nb, nb) for y in column])
+    columns = [[x * nb + b for x in col for b in range(nb)] for col in G._columns]
+    columns += [[a + y for a in range(0, G.order * nb, nb) for y in col] for col in H._columns]
     names = None
     if G.element_names or H.element_names:
         names = tuple(

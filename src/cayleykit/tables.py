@@ -98,10 +98,8 @@ def render_table(G: Group) -> str:
     names = [G.name_of(i) for i in range(G.order)]
     width = max(len(s) for s in names)
     lines = [" ".join(s.ljust(width) for s in names).rstrip()]
-    for i in range(G.order):
-        lines.append(
-            " ".join(names[x].ljust(width) for x in G.table[i]).rstrip()
-        )
+    for row in G.table:
+        lines.append(" ".join(names[x].ljust(width) for x in row).rstrip())
     return "\n".join(lines) + "\n"
 
 

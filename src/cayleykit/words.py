@@ -298,10 +298,11 @@ def evaluate_word(group, assignment: dict[int, int], word: Word) -> int:
     ``assignment`` maps generator indices to element indices of ``group``
     (anything with ``identity``, ``table`` and ``inverse``).
     """
+    table, inverse = group.table, group.inverse
     value = group.identity
     for gen, sign in word:
         if gen not in assignment:
             raise KeyError(f"generator {gen} has no assigned element")
         image = assignment[gen]
-        value = group.table[value][image if sign > 0 else group.inverse[image]]
+        value = table[value][image if sign > 0 else inverse[image]]
     return value

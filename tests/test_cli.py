@@ -533,11 +533,11 @@ def test_unknown_fixture_is_a_usage_error(capsys):
 ADDRESS_SPACE = 600 * 2**20
 
 
-def run_cli_limited(argv, max_cosets=None):
+def run_cli_limited(argv, max_cosets=None, address_space=ADDRESS_SPACE):
     """The CLI in a child process whose address space is capped, so that a
     table built before its cap ends in a MemoryError there, not here.
     ``max_cosets``, if given, is the child's CAYLEY_MAX_COSETS."""
-    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+    limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     script = "import sys; from cayleykit.cli import main; sys.exit(main(sys.argv[1:]))"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     if max_cosets is not None:
@@ -564,6 +564,17 @@ def test_table_cap_exits_before_allocating(argv, order):
     # Pauli groups a table of 2^28 cells or Kronecker products of 2^10^12 rows
     out = run_cli_limited(argv)
     message = f"cap exceeded: table cap 16777216 cells exceeded (order {order})\n"
+    assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
+
+
+def test_enumerate_at_the_order_cap_builds_no_table():
+    # C_4096 is named from its action: no 16.8-million-cell table, which does
+    # not fit in 80 MB, and the cap is still checked before any work
+    out = run_cli_limited(["enumerate", "<r | r^4096>"], address_space=80 * 2**20)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert "order: 4096\nidentified: C_4096\n" in out.stdout
+    out = run_cli_limited(["enumerate", "<r | r^5000>"], address_space=80 * 2**20)
+    message = "cap exceeded: table cap 16777216 cells exceeded (order 5000)\n"
     assert (out.returncode, out.stdout, out.stderr) == (3, "", message)
 
 

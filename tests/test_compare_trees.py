@@ -1,0 +1,36 @@
+"""tools/compare_trees.py sends the same requests through two checkouts and
+reports every difference in their answers."""
+
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "compare_trees.py"
+
+
+def compare(old, new):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(old), str(new), "--blocks", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_a_tree_matches_itself_and_a_changed_line_is_reported(tmp_path):
+    same = compare(ROOT, ROOT)
+    assert same.returncode == 0, same.stderr
+    *differences, summary = same.stdout.splitlines()
+    count = int(summary.split()[0])
+    assert differences == [] and summary == f"{count} requests, 0 differences"
+    # a copy whose human enumerate report spells one line differently
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "cayleykit" / "cli.py"
+    text = cli.read_text()
+    assert text.count('f"presentation: {report') == 1
+    cli.write_text(text.replace('f"presentation: {report', 'f"presentation:  {report'))
+    changed = compare(ROOT, tmp_path)
+    assert changed.returncode == 1, changed.stderr
+    *differences, summary = changed.stdout.splitlines()
+    assert differences and all("stdout differs" in line for line in differences)
+    assert summary == f"{count} requests, {len(differences)} differences"

@@ -791,17 +791,22 @@ def test_acting_group_is_named_as_the_presented_group():
 
 
 def test_analyze_builds_one_group_per_cayley_graph(monkeypatch):
+    # every group the program builds ends in _acting_group: group_from_action
+    # calls it after its checks, group_from_coset_table with its own BFS tree
+    from cayleykit import groups
+
     calls = []
+    acting_group = groups._acting_group
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return group_from_action(*args, **kwargs)
+        return acting_group(*args, **kwargs)
 
     for graph in (fixture("mirror32"), build_cayley_graph(families.dihedral(12))):
         analyze(graph)  # builds the catalog of the graph's order
         with monkeypatch.context() as mp:
-            for module in ("cosets", "graphs", "groups"):
-                mp.setattr(f"cayleykit.{module}.group_from_action", counted, raising=False)
+            for module in ("cosets", "groups"):
+                mp.setattr(f"cayleykit.{module}._acting_group", counted)
             calls.clear()
             assert analyze(graph).is_cayley
         assert len(calls) == 1
