@@ -1,18 +1,21 @@
 """Explicit finite groups, their multiplication tables and structural queries.
 
-Element 0 is always the identity.  Every group the program builds comes
-from ``group_from_action``: the right action of a generating set on the
+Element 0 is always the identity.  Every group the program builds ends in
+``_acting_group``, from the right action of a generating set on the
 elements (a closed coset table, a matrix closure, a Cayley graph's colours,
 a quotient's cosets, a direct product's pairs, a checked table's symbols, a
-subgroup's members), a group by construction.  The group keeps the action
-and builds its dense ``table`` and ``inverse`` on their first read.
+subgroup's members), a group by construction: through ``group_from_action``,
+or from the coset-table route with that route's own BFS tree.  The group
+keeps the action and builds its dense ``table`` and ``inverse`` on their
+first read.
 ``Group(table)`` is for tables from outside only: each must be a Latin
 square with identity 0 and pass Light's associativity test.  A dense table
 holds at most ``MAX_TABLE_CELLS`` cells; a larger group is refused with
 ``CapExceeded`` before it is built.
 
 The fingerprint comes from the action, with no table: commuting generators,
-the centre, the commutators' normal closure and the element orders; the
+the centre, the commutators' normal closure and the element orders, each
+read along a generating subset of at most log2 n of the action's columns; the
 invariant factors are read off the order histogram.  Maps and normality are
 checked along the table's greedy generating sequence: ``is_normal``
 conjugates by it, and ``is_isomorphic`` walks the span of the generators it
@@ -89,7 +92,7 @@ class Group:
 
     __slots__ = (
         "order", "table", "inverse", "element_names", "generators", "_columns",
-        "_tree", "_left", "_gens", "_orders", "_centralizers", "_fp",
+        "_tree", "_left", "_subset", "_gens", "_orders", "_centralizers", "_fp",
     )
 
     def __init__(self, table, element_names=None, generators=()):
@@ -119,7 +122,7 @@ class Group:
         for _, el in self.generators:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
-        self._gens = self._orders = self._centralizers = self._fp = None
+        self._subset = self._gens = self._orders = self._centralizers = self._fp = None
 
     @property
     def identity(self) -> int:
@@ -146,7 +149,8 @@ class Group:
         In BFS order, each element x with no order yet walks its powers by
         its tree word; x^j has order m / gcd(j, m) for m the order of x, and
         each element so ordered passes its order on to its conjugacy class,
-        its orbit under y -> s^-1 y s for the action's generators s."""
+        its orbit under y -> s^-1 y s for the generators s of
+        ``_generating_subset``."""
         if self._orders is None:
             link = {x: (y, k) for x, y, k in self._tree}
             conjugations = _conjugations(self)
@@ -186,9 +190,9 @@ class Group:
         return Counter(self.element_orders())
 
     def is_abelian(self) -> bool:
-        """Whether the action's generators commute: s t = L_s(t) against
-        t s = R_s(t) for each pair s, t."""
-        pairs = list(zip(self._left, self._columns))
+        """Whether the generators of ``_generating_subset`` commute: s t =
+        L_s(t) against t s = R_s(t) for each pair s, t."""
+        pairs = _generating_subset(self)
         return all(left[t[0]] == col[t[0]] for (left, col), (_, t) in combinations(pairs, 2))
 
     def exponent(self) -> int:
@@ -297,9 +301,23 @@ def _inverse(perm) -> list[int]:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
+def _generating_subset(G: Group) -> list[tuple[list[int], list[int]]]:
+    """(left multiplication, column) of a generating subset of G's action,
+    computed on the first call only: a column is kept only if it takes 0
+    outside the span of those kept before.  Each kept column at least doubles
+    the span, so at most log2 n are kept, however many the action has."""
+    if G._subset is None:
+        G._subset, span = [], {0}
+        for left, col in zip(G._left, G._columns):
+            if col[0] not in span:
+                G._subset.append((left, col))
+                span = set(_orbit(0, [c for _, c in G._subset]))
+    return G._subset
+
+
 def _conjugations(G: Group) -> list[list[int]]:
-    """Each action generator's map y -> s^-1 y s, that is L_s^-1(R_s(y))."""
-    return [list(map(_inverse(left).__getitem__, col)) for left, col in zip(G._left, G._columns)]
+    """Each generating subset member's map y -> s^-1 y s, L_s^-1(R_s(y))."""
+    return [list(map(_inverse(left).__getitem__, col)) for left, col in _generating_subset(G)]
 
 
 def _orbit(x: int, maps) -> list[int]:
@@ -451,20 +469,21 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
 
 def center(G: Group) -> Subgroup:
     """The z with L_s(z) = R_s(z), that is s z = z s, for each generator s
-    of G's action."""
-    pairs = list(zip(G._left, G._columns))
+    of ``_generating_subset``."""
+    pairs = _generating_subset(G)
     members = [z for z in range(G.order) if all(left[z] == col[z] for left, col in pairs)]
     return Subgroup(G, tuple(members))
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    """The normal closure of the commutators of the action's generators: the
+    """The normal closure of the commutators of ``_generating_subset``: the
     orbit of 1 under y -> y [a, b] = y a^-1 b^-1 a b, four column steps, for
     each pair a, b, and under conjugation by each generator."""
-    back = [_inverse(col) for col in G._columns]
+    columns = [col for _, col in _generating_subset(G)]
+    back = [_inverse(col) for col in columns]
     commutators = [
         [b[a[back[j][back[i][y]]]] for y in range(G.order)]
-        for (i, a), (j, b) in combinations(enumerate(G._columns), 2)
+        for (i, a), (j, b) in combinations(enumerate(columns), 2)
     ]
     return Subgroup(G, tuple(sorted(_orbit(0, commutators + _conjugations(G)))))
 

@@ -516,6 +516,22 @@ def test_table_is_built_only_where_read(monkeypatch, tmp_path, capsys):
     assert builds == [D8]
 
 
+def test_redundant_columns_keep_the_fingerprint_cheap(monkeypatch):
+    # C_64 and D_32 acting by all 63 non-identity elements: the fingerprint
+    # reads a generating subset of at most log2 64 = 6 columns, so no orbit
+    # walks more than 15 commutators and 6 conjugations, not 1953 and 63
+    from cayleykit import groups
+
+    widths = []
+    orbit = groups._orbit
+    monkeypatch.setattr(groups, "_orbit", lambda x, maps: widths.append(len(maps)) or orbit(x, maps))
+    for G in (families.cyclic(64), families.dihedral(32)):
+        t = G.table
+        columns = [[row[g] for row in t] for g in range(1, G.order)]
+        assert group_from_action(columns).fingerprint() == G.fingerprint()
+    assert 0 < max(widths) <= 15 + 6
+
+
 def test_identify_unmatched_reports_fingerprint():
     # the 2-qubit closure is outside the catalog; the report carries invariants
     ident = identify(families.pauli(2))

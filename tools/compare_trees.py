@@ -1,10 +1,10 @@
 """Send the same requests through two checkouts' ``cli.main`` and report every
 difference in exit code, stdout or stderr.
 
-    python3 tools/compare_trees.py OLD_ROOT NEW_ROOT --blocks 12 --seed 1
+    python3 tools/compare_trees.py OLD_ROOT NEW_ROOT --blocks 12
 
-The requests are blocks 0..N-1 of each benchmark workload (drawn by
-``perfbench/workloads.py`` of OLD_ROOT, data files written once to a shared
+The requests are blocks 0..N-1 of each benchmark workload at seed 1 (drawn
+by ``perfbench/workloads.py`` of OLD_ROOT, data files written once to a shared
 temporary directory) and the commands of the golden cases in
 ``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``.  Each checkout
 answers them all in one child interpreter with its own ``src`` first on
@@ -61,7 +61,7 @@ def golden_commands(root: Path) -> list[list[str]]:
     return [cases[name] for name in sorted(cases)]
 
 
-def requests(root: Path, blocks: int, seed: int, workdir: Path):
+def requests(root: Path, blocks: int, workdir: Path):
     """(label, cwd, argv) of every request, with each block's files written."""
     sys.path.insert(0, str(root / "perfbench"))
     import workloads
@@ -70,7 +70,7 @@ def requests(root: Path, blocks: int, seed: int, workdir: Path):
     found = []
     for name in workloads.WORKLOADS:
         for index in range(blocks):
-            block = workloads.block(name, seed, index, oracle)
+            block = workloads.block(name, 1, index, oracle)
             where = workdir / f"{name}-{index}"
             where.mkdir()
             for file, text in block.files:
@@ -97,12 +97,11 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path, help="root of the first checkout")
     parser.add_argument("new", type=Path, help="root of the second checkout")
     parser.add_argument("--blocks", type=int, default=12, help="blocks of each workload")
-    parser.add_argument("--seed", type=int, default=1, help="the workloads' seed")
     args = parser.parse_args(argv)
     old, new = args.old.resolve(), args.new.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        found = requests(old, args.blocks, args.seed, work)
+        found = requests(old, args.blocks, work)
         listing = work / "requests.json"
         listing.write_text(json.dumps([[cwd, argv] for _, cwd, argv in found]))
         before, after = answers(old, listing), answers(new, listing)
