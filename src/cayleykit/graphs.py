@@ -23,8 +23,8 @@ from operator import itemgetter
 
 from . import cosets
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, _left_multiplications, _spanning_tree, identify,
-    subgroup_closure,
+    MAX_TABLE_CELLS, CapExceeded, Group, _inverse, _left_multiplications, _spanning_tree,
+    identify, subgroup_closure,
 )
 from .words import Presentation, _check_generator_names
 
@@ -274,7 +274,7 @@ def extract_presentation(graph: ColoredDigraph, base: int = 0) -> Presentation:
     CapExceeded before building over MAX_TABLE_CELLS letters (from loop depths)."""
     perms = color_permutations(graph)
     n = graph.node_count
-    inv_perms = [tuple(sorted(range(n), key=p.__getitem__)) for p in perms]
+    inv_perms = list(map(_inverse, perms))
 
     # a node's BFS word is its parent's and then its letter, whose inverse is
     # kept too: a relator holds these shared letters, a pointer each
@@ -359,7 +359,7 @@ def _regular_coset_table(
         raise CapExceeded(
             f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes has {n} cosets)", n
         )
-    inverses = tuple(tuple(sorted(range(n), key=p.__getitem__)) for p in columns)
+    inverses = tuple(tuple(_inverse(p)) for p in columns)
     return cosets.CosetTable(presentation, tuple(columns), inverses, n)
 
 

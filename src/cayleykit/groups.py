@@ -16,12 +16,13 @@ holds at most ``MAX_TABLE_CELLS`` cells; a larger group is refused with
 The fingerprint comes from the action, with no table: commuting generators,
 the centre, the commutators' normal closure and the element orders, each
 read along a generating subset of at most log2 n of the action's columns; the
-invariant factors are read off the order histogram.  Maps and normality are
-checked along the table's greedy generating sequence: ``is_normal``
-conjugates by it, and ``is_isomorphic`` walks the span of the generators it
-has mapped, since a map that respects each generator there is a
-homomorphism.  ``enumerate_subgroups`` grows each subgroup found by one
-cyclic subgroup at a time.
+invariant factors are read off the order histogram.  Maps, normality and
+quotients read the same subset: ``is_normal`` conjugates by it, each normal
+closure is one orbit walk, ``quotient`` acts by it on the cosets, and
+``is_isomorphic`` walks the span of the generators it has mapped, since a
+map that respects each generator there is a homomorphism.
+``enumerate_subgroups`` grows each subgroup found by one cyclic subgroup at
+a time.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class Group:
 
     __slots__ = (
         "order", "table", "inverse", "element_names", "generators", "_columns",
-        "_tree", "_left", "_subset", "_gens", "_orders", "_centralizers", "_fp",
+        "_tree", "_left", "_subset", "_orders", "_centralizers", "_fp",
     )
 
     def __init__(self, table, element_names=None, generators=()):
@@ -105,7 +106,6 @@ class Group:
         left = [rows[g] for g in gens]
         self._fill(columns, _spanning_tree(columns), left, element_names, generators)
         self.table, self.inverse = rows, tuple(row.index(0) for row in rows)
-        self._gens = tuple(gens)
 
     def _fill(self, columns, tree, left, element_names, generators):
         n = len(columns[0]) if columns else 1
@@ -122,7 +122,7 @@ class Group:
         for _, el in self.generators:
             if not 0 <= el < n:
                 raise GroupError("generator element out of range")
-        self._subset = self._gens = self._orders = self._centralizers = self._fp = None
+        self._subset = self._orders = self._centralizers = self._fp = None
 
     @property
     def identity(self) -> int:
@@ -135,13 +135,6 @@ class Group:
             raise AttributeError(name)
         _build_table(self)
         return getattr(self, name)
-
-    def generating_sequence(self) -> tuple[int, ...]:
-        """The greedy generating sequence of the table, computed on the first
-        call only; maps, normality and products start from it."""
-        if self._gens is None:
-            self._gens = tuple(_generating_sequence(self.table, 0))
-        return self._gens
 
     def element_orders(self) -> tuple[int, ...]:
         """The order of each element, computed on the first call only.
@@ -315,6 +308,11 @@ def _generating_subset(G: Group) -> list[tuple[list[int], list[int]]]:
     return G._subset
 
 
+def _generators(G: Group) -> list[int]:
+    """The elements of ``_generating_subset``, each outside the span of those before."""
+    return [col[0] for _, col in _generating_subset(G)]
+
+
 def _conjugations(G: Group) -> list[list[int]]:
     """Each generating subset member's map y -> s^-1 y s, L_s^-1(R_s(y))."""
     return [list(map(_inverse(left).__getitem__, col)) for left, col in _generating_subset(G)]
@@ -476,36 +474,35 @@ def center(G: Group) -> Subgroup:
 
 
 def derived_subgroup(G: Group) -> Subgroup:
-    """The normal closure of the commutators of ``_generating_subset``: the
-    orbit of 1 under y -> y [a, b] = y a^-1 b^-1 a b, four column steps, for
-    each pair a, b, and under conjugation by each generator."""
+    """The normal closure of the commutators of ``_generating_subset``, each
+    pair's y -> y [a, b] = y a^-1 b^-1 a b taken in four column steps."""
     columns = [col for _, col in _generating_subset(G)]
     back = [_inverse(col) for col in columns]
     commutators = [
         [b[a[back[j][back[i][y]]]] for y in range(G.order)]
         for (i, a), (j, b) in combinations(enumerate(columns), 2)
     ]
-    return Subgroup(G, tuple(sorted(_orbit(0, commutators + _conjugations(G)))))
+    return _normal_orbit(G, commutators)
+
+
+def _normal_orbit(G: Group, right) -> Subgroup:
+    """The normal closure of the elements that the maps ``right`` multiply by:
+    the orbit of 1 under them and under conjugation by each generator (Holt,
+    Eick & O'Brien, 2005); conjugation keeps it, so their conjugates do too."""
+    return Subgroup(G, tuple(sorted(_orbit(0, right + _conjugations(G)))))
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
-    """Whether each generator conjugates H into H.  That suffices: in a finite
-    group each inverse is a positive word in the generators."""
-    t, inv = G.table, G.inverse
+    """Whether conjugation by each generator, h -> s^-1 h s, keeps H in H: in
+    a finite group each inverse is a positive word in the generators."""
     members = set(H.members)
-    return all(
-        t[t[g][h]][inv[g]] in members for g in G.generating_sequence() for h in H.members
-    )
+    return all(conj[h] in members for conj in _conjugations(G) for h in H.members)
 
 
 def normal_closure(G: Group, seed) -> Subgroup:
-    """Least normal subgroup containing the seed elements."""
-    t, inv = G.table, G.inverse
-    conjugates = {0}
-    for x in seed:
-        for g in range(G.order):
-            conjugates.add(t[t[g][x]][inv[g]])
-    return subgroup_closure(G, conjugates)
+    """Least normal subgroup containing the seed elements, by ``_normal_orbit``."""
+    t = G.table
+    return _normal_orbit(G, [[row[x] for row in t] for x in set(seed)])
 
 
 def quotient(G: Group, N: Subgroup) -> Group:
@@ -524,8 +521,8 @@ def quotient(G: Group, N: Subgroup) -> Group:
         reps.append(g)
         for h in N.members:
             coset_of[t[g][h]] = idx
-    # coset rN times gN is (rg)N: G's generating sequence acts on the cosets
-    columns = [[coset_of[t[r][g]] for r in reps] for g in G.generating_sequence()]
+    # coset rN times gN is (rg)N: G's generators act on the cosets
+    columns = [[coset_of[t[r][g]] for r in reps] for g in _generators(G)]
     names = tuple(G.name_of(r) for r in reps)
     gens = []
     seen = set()
@@ -582,7 +579,7 @@ def has_semidirect_decomposition(G: Group):
 def is_isomorphic(G: Group, H: Group):
     """An isomorphism as a tuple (image of each G element), or None.
 
-    Backtracks over images of a greedy minimal generating sequence of G;
+    Backtracks over images of the generators of G's ``_generating_subset``;
     candidate images are those of the same order and centraliser order, tried
     in ascending element order, so the result is deterministic.  Each partial
     map is checked by a walk from the identity over the span of the assigned
@@ -596,7 +593,7 @@ def is_isomorphic(G: Group, H: Group):
     # an isomorphism preserves each element's order and centraliser order
     kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
-    gens = G.generating_sequence()
+    gens = _generators(G)
     tg, th = G.table, H.table
 
     def walk(assigned: list[tuple[int, int]]):

@@ -34,3 +34,20 @@ def test_a_tree_matches_itself_and_a_changed_line_is_reported(tmp_path):
     *differences, summary = changed.stdout.splitlines()
     assert differences and all("stdout differs" in line for line in differences)
     assert summary == f"{count} requests, {len(differences)} differences"
+
+
+def test_a_changed_error_text_is_reported(tmp_path):
+    # the malformed requests compare each one-line error on stderr
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cosets = tmp_path / "src" / "cayleykit" / "cosets.py"
+    text = cosets.read_text()
+    assert text.count('"max_cosets must be at least 1"') == 1
+    cosets.write_text(text.replace('"max_cosets must be at least 1"', '"max_cosets must be positive"'))
+    changed = compare(ROOT, tmp_path)
+    assert changed.returncode == 1, changed.stderr
+    *differences, summary = changed.stdout.splitlines()
+    assert differences == [
+        "malformed: stderr differs for 'enumerate <a | a^3> --max-cosets 0': "
+        "'error: max_cosets must be at least 1\\n' != 'error: max_cosets must be positive\\n'"
+    ]
+    assert summary.endswith(" requests, 1 differences")

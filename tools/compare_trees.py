@@ -5,8 +5,10 @@ difference in exit code, stdout or stderr.
 
 The requests are blocks 0..N-1 of each benchmark workload at seed 1 (drawn
 by ``perfbench/workloads.py`` of OLD_ROOT, data files written once to a shared
-temporary directory) and the commands of the golden cases in
-``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``.  Each checkout
+temporary directory), the commands of the golden cases in
+``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``, and the fixed
+malformed requests of ``MALFORMED``, whose exit codes and one-line errors
+must match as well.  Each checkout
 answers them all in one child interpreter with its own ``src`` first on
 ``sys.path``; ``cli_cold`` requests go through ``cli.main`` there too.  A JSON
 report is compared without its ``timing_ms``.  Prints one line per difference
@@ -49,6 +51,24 @@ for cwd, argv in json.load(open(sys.argv[2])):
 
 FIELDS = ("exit code", "stdout", "stderr")
 
+# malformed inputs, written to one directory: each request is refused with a
+# one-line message, or its table is reported and rejected
+MALFORMED_FILES = {
+    "not_latin.txt": "e a\ne a\na a\n",
+    "not_associative.txt": "e a b c d\ne a b c d\na e c d b\nb d e a c\nc b d e a\nd c a b e\n",
+    "broken.json": '{"nodes": 3, "edges": [',
+}
+MALFORMED = [
+    ["enumerate", "<a | a^>"],
+    ["quotient", "--presentation", "<a | a^4>", "--normal", "b"],
+    ["identify", "--table", "not_latin.txt"],
+    ["check-table", "not_latin.txt", "--json"],
+    ["identify", "--table", "not_associative.txt"],
+    ["check-table", "not_associative.txt", "--json"],
+    ["check-graph", "broken.json"],
+    ["enumerate", "<a | a^3>", "--max-cosets", "0"],
+]
+
 
 def golden_commands(root: Path) -> list[list[str]]:
     """The argv of each golden case: the ``CASES`` literal of tests/test_cli.py."""
@@ -81,6 +101,12 @@ def requests(root: Path, blocks: int, workdir: Path):
     data = str(root / "tests" / "data")
     for argv in golden_commands(root):
         found.append(("golden", data, argv))
+    where = workdir / "malformed"
+    where.mkdir()
+    for file, text in MALFORMED_FILES.items():
+        (where / file).write_text(text)
+    for argv in MALFORMED:
+        found.append(("malformed", str(where), argv))
     return found
 
 
