@@ -40,8 +40,7 @@ from collections import namedtuple
 from itertools import groupby
 
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _acting_group, _spanning_tree,
-    check_table_cells,
+    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _spanning_tree, check_table_cells,
 )
 from .words import Presentation, Word, format_word
 
@@ -363,7 +362,7 @@ def group_from_coset_table(table: CosetTable) -> Group:
 
     succ = [[order_of[col[old]] for old in bfs] for col in table.forward]
     generators = tuple((name, succ[g][0]) for g, name in enumerate(names))
-    return _acting_group(succ, tree, labels, generators)
+    return Group(succ, tree, labels, generators)
 
 
 def group_from_presentation(

@@ -1,17 +1,16 @@
 """Explicit finite groups, their multiplication tables and structural queries.
 
-Element 0 is always the identity.  Every group the program builds ends in
-``_acting_group``, from the right action of a generating set on the
-elements (a closed coset table, a matrix closure, a Cayley graph's colours,
-a quotient's cosets, a direct product's pairs, a checked table's symbols, a
-subgroup's members), a group by construction: through ``group_from_action``,
-or from the coset-table route with that route's own BFS tree.  The group
-keeps the action and builds its dense ``table`` and ``inverse`` on their
-first read.
-``Group(table)`` is for tables from outside only: each must be a Latin
-square with identity 0 and pass Light's associativity test.  A dense table
-holds at most ``MAX_TABLE_CELLS`` cells; a larger group is refused with
-``CapExceeded`` before it is built.
+Element 0 is always the identity.  A ``Group`` is built from the right
+action of a generating set on its elements and is one by construction, so
+its constructor checks no axiom: every group the program builds (from a
+closed coset table, a matrix closure, a Cayley graph's colours, a quotient's
+cosets, a direct product's pairs, a checked table's symbols or a subgroup's
+members) comes through ``group_from_action``, or from the coset-table route
+with that route's own BFS tree.  A table from outside enters through
+``tables.group_from_table`` only, which checks every axiom.  The group keeps
+the action and builds its dense ``table`` and ``inverse`` on their first
+read.  A dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger group
+is refused with ``CapExceeded`` before it is built.
 
 The fingerprint comes from the action, with no table: commuting generators,
 the centre, the commutators' normal closure and the element orders, each
@@ -89,28 +88,23 @@ class Group:
     """Finite group on the elements 0..n-1, kept as the right action of a
     generating set: its columns, their BFS tree from 0 and their left
     multiplications.  The n x n multiplication ``table`` and the ``inverse``
-    of each element are built on first read."""
+    of each element are built on first read.  The constructor takes the
+    action, so a table from outside enters through ``tables.group_from_table``."""
 
     __slots__ = (
         "order", "table", "inverse", "element_names", "generators", "_columns",
         "_tree", "_left", "_subset", "_orders", "_centralizers", "_fp",
     )
 
-    def __init__(self, table, element_names=None, generators=()):
-        """A table from outside, checked against the group axioms here; it
-        keeps its rows and acts by its greedy generating sequence.
-        ``group_from_action`` builds every table of the program's own."""
-        rows = tuple(tuple(row) for row in table)
-        gens = _check_axioms(rows)
-        columns = [[row[g] for row in rows] for g in gens]
-        left = [rows[g] for g in gens]
-        self._fill(columns, _spanning_tree(columns), left, element_names, generators)
-        self.table, self.inverse = rows, tuple(row.index(0) for row in rows)
-
-    def _fill(self, columns, tree, left, element_names, generators):
+    def __init__(self, columns, tree, element_names=None, generators=()):
+        """The group acting regularly on 0..n-1 by ``columns``, with ``tree``
+        their BFS tree from 0, as ``_spanning_tree`` gives it; no columns give
+        the trivial group.  No axiom is checked: ``group_from_action`` checks
+        that the action reaches every point."""
         n = len(columns[0]) if columns else 1
         self.order = n
-        self._columns, self._tree, self._left = columns, tree, left
+        self._columns, self._tree = columns, tree
+        self._left = _left_multiplications(columns, tree)
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
             if len(names) != n or len(set(names)) != n:
@@ -185,8 +179,10 @@ class Group:
     def is_abelian(self) -> bool:
         """Whether the generators of ``_generating_subset`` commute: s t =
         L_s(t) against t s = R_s(t) for each pair s, t."""
-        pairs = _generating_subset(self)
-        return all(left[t[0]] == col[t[0]] for (left, col), (_, t) in combinations(pairs, 2))
+        subset = _generating_subset(self)
+        return all(
+            left[t[0]] == col[t[0]] for (left, col, _), (_, t, _) in combinations(subset, 2)
+        )
 
     def exponent(self) -> int:
         return lcm(*self.element_orders())
@@ -250,25 +246,17 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     """The group acting regularly on points 0..n-1, with point 0 as identity.
 
     ``columns[k][x]`` is point x times generator k; no columns give the
-    trivial group.  The group is one by construction, so no axiom is checked;
-    it keeps the columns, the BFS tree x = parent(x) * s(x) from 0 and each
-    generator's left multiplication, and builds its table only when read.
-    Raises GroupError unless every point is reached, CapExceeded if the table
-    would exceed MAX_TABLE_CELLS.
+    trivial group.  The group is one by construction, so no axiom is checked:
+    this builds the BFS tree x = parent(x) * s(x) from 0 and hands it to
+    ``Group``.  Raises GroupError unless every point is reached, CapExceeded
+    if the table would exceed MAX_TABLE_CELLS.
     """
     n = len(columns[0]) if columns else 1
     check_table_cells(n)
     tree = _spanning_tree(columns)
     if len(tree) != n - 1:
         raise GroupError(f"action is not transitive: {len(tree) + 1} of {n} reached")
-    return _acting_group(columns, tree, element_names, generators)
-
-
-def _acting_group(columns, tree, element_names, generators) -> Group:
-    """``group_from_action`` past its checks, with ``tree`` the columns' BFS tree."""
-    G = object.__new__(Group)
-    G._fill(columns, tree, _left_multiplications(columns, tree), element_names, generators)
-    return G
+    return Group(columns, tree, element_names, generators)
 
 
 def _build_table(G: Group):
@@ -294,28 +282,32 @@ def _inverse(perm) -> list[int]:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
-def _generating_subset(G: Group) -> list[tuple[list[int], list[int]]]:
-    """(left multiplication, column) of a generating subset of G's action,
-    computed on the first call only: a column is kept only if it takes 0
-    outside the span of those kept before.  Each kept column at least doubles
-    the span, so at most log2 n are kept, however many the action has."""
+def _generating_subset(G: Group) -> list[tuple[list[int], list[int], list[int]]]:
+    """(left multiplication, column, conjugation) of a generating subset of
+    G's action, computed on the first call only: a column is kept only if it
+    takes 0 outside the span of those kept before.  Each kept column at least
+    doubles the span, so at most log2 n are kept, however many the action
+    has.  A member s's conjugation is y -> s^-1 y s, L_s^-1(R_s(y))."""
     if G._subset is None:
-        G._subset, span = [], {0}
+        kept, span = [], {0}
         for left, col in zip(G._left, G._columns):
             if col[0] not in span:
-                G._subset.append((left, col))
-                span = set(_orbit(0, [c for _, c in G._subset]))
+                kept.append((left, col))
+                span = set(_orbit(0, [c for _, c in kept]))
+        G._subset = [
+            (left, col, list(map(_inverse(left).__getitem__, col))) for left, col in kept
+        ]
     return G._subset
 
 
 def _generators(G: Group) -> list[int]:
     """The elements of ``_generating_subset``, each outside the span of those before."""
-    return [col[0] for _, col in _generating_subset(G)]
+    return [col[0] for _, col, _ in _generating_subset(G)]
 
 
 def _conjugations(G: Group) -> list[list[int]]:
-    """Each generating subset member's map y -> s^-1 y s, L_s^-1(R_s(y))."""
-    return [list(map(_inverse(left).__getitem__, col)) for left, col in _generating_subset(G)]
+    """Each generating subset member's map y -> s^-1 y s."""
+    return [conj for _, _, conj in _generating_subset(G)]
 
 
 def _orbit(x: int, maps) -> list[int]:
@@ -328,93 +320,6 @@ def _orbit(x: int, maps) -> list[int]:
                 seen.add(z)
                 orbit.append(z)
     return orbit
-
-
-def _check_axioms(rows) -> list[int]:
-    """Raise GroupError unless ``rows`` is a group table with identity 0;
-    return its greedy generating sequence, which Light's test reads."""
-    n = len(rows)
-    if n == 0:
-        raise GroupError("empty multiplication table")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise GroupError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not isinstance(x, int) or not 0 <= x < n:
-                raise GroupError(f"entry {x!r} in row {i} out of range")
-    if _two_sided_identity(rows) != 0:
-        raise GroupError(
-            "row 0 and column 0 must equal the header (element 0 is the identity)"
-        )
-    violation = _latin_violation(rows)
-    if violation is not None:
-        kind, i, _ = violation
-        raise GroupError(f"{kind} {i} is not a permutation (not a Latin square)")
-    # no inverse check: in an associative loop, x*y = e makes y*x idempotent, so e
-    gens = _generating_sequence(rows, 0)
-    if not _light_test(rows, gens):
-        x, y, z = _first_witness(rows)
-        raise GroupError(f"associativity fails at ({x},{y},{z})")
-    return gens
-
-
-def _latin_violation(rows) -> tuple[str, int, int] | None:
-    """The first repeat in a square table of entries 0..n-1, scanning rows
-    top-down then columns left to right: ("row" or "column", its index, the
-    first entry that line repeats), or None for a Latin square."""
-    n = len(rows)
-    for kind, lines in (("row", rows), ("column", zip(*rows))):
-        for i, line in enumerate(lines):
-            if len(set(line)) != n:
-                return kind, i, next(x for j, x in enumerate(line) if x in line[:j])
-    return None
-
-
-def _two_sided_identity(rows) -> int | None:
-    """The least e whose row and column both read 0..n-1, or None."""
-    header = tuple(range(len(rows)))
-    for e, row in enumerate(rows):
-        if row == header and all(r[e] == i for i, r in enumerate(rows)):
-            return e
-    return None
-
-
-def _generating_sequence(rows, identity=None) -> list[int]:
-    """Greedy generating sequence of a magma table: the least element not yet
-    reached, until every element is.  Reached means a left-normed product of
-    the sequence, or the two-sided identity when one is given."""
-    n = len(rows)
-    gens: list[int] = []
-    seeds = [] if identity is None else [identity]
-    span = set(seeds)
-    while len(span) < n:
-        gens.append(min(set(range(n)) - span))
-        queue = seeds + gens
-        span = set(queue)
-        for x in queue:
-            for y in map(rows[x].__getitem__, gens):
-                if y not in span:
-                    span.add(y)
-                    queue.append(y)
-    return gens
-
-
-def _light_test(rows, gens) -> bool:
-    """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
-    of a generating sequence ``gens``.  It is exact for any magma, because the
-    middle elements that pass form a submagma; the identity passes trivially."""
-    return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
-
-
-def _first_witness(rows) -> tuple[int, int, int] | None:
-    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None."""
-    n = len(rows)
-    for x, rx in enumerate(rows):
-        for y, ry in enumerate(rows):
-            rxy = rows[rx[y]]
-            if [rx[v] for v in ry] != list(rxy):
-                return next((x, y, z) for z in range(n) if rxy[z] != rx[ry[z]])
-    return None
 
 
 class Subgroup(namedtuple("Subgroup", "parent members")):
@@ -437,11 +342,15 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
         return self.parent.order // len(self.members)
 
     def as_group(self) -> Group:
-        """The subgroup as a standalone Group in member order."""
+        """The subgroup as a standalone Group in member order, acted on by
+        right multiplication by each member outside the span of those kept
+        before: |H| cells per kept member, and no |H| x |H| table."""
         parent, pos = self.parent, {m: i for i, m in enumerate(self.members)}
-        t = parent.table
-        table = [[pos[t[a][b]] for b in self.members] for a in self.members]
-        columns = [[row[g] for row in table] for g in _generating_sequence(table, 0)]
+        t, columns, span = parent.table, [], {0}
+        for i, g in enumerate(self.members):
+            if i not in span:
+                columns.append([pos[t[a][g]] for a in self.members])
+                span = set(_orbit(0, columns))
         names = tuple(map(parent.name_of, self.members)) if parent.element_names else None
         return group_from_action(columns, element_names=names)
 
@@ -468,15 +377,15 @@ def subgroup_closure(G: Group, seed) -> Subgroup:
 def center(G: Group) -> Subgroup:
     """The z with L_s(z) = R_s(z), that is s z = z s, for each generator s
     of ``_generating_subset``."""
-    pairs = _generating_subset(G)
-    members = [z for z in range(G.order) if all(left[z] == col[z] for left, col in pairs)]
+    subset = _generating_subset(G)
+    members = [z for z in range(G.order) if all(left[z] == col[z] for left, col, _ in subset)]
     return Subgroup(G, tuple(members))
 
 
 def derived_subgroup(G: Group) -> Subgroup:
     """The normal closure of the commutators of ``_generating_subset``, each
     pair's y -> y [a, b] = y a^-1 b^-1 a b taken in four column steps."""
-    columns = [col for _, col in _generating_subset(G)]
+    columns = [col for _, col, _ in _generating_subset(G)]
     back = [_inverse(col) for col in columns]
     commutators = [
         [b[a[back[j][back[i][y]]]] for y in range(G.order)]

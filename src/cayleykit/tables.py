@@ -3,6 +3,11 @@
 Text format: a header line of whitespace-separated symbols, then n body rows
 of n symbols; cell (i, j) is row-symbol-i times column-symbol-j.  Lines
 starting with '#' are comments.
+
+``group_from_table`` is the one validator of a table from outside: it checks
+the Latin property, the two-sided identity and associativity (Light's test),
+renumbers the symbols so the identity is element 0, and builds the Group from
+the table's action through ``groups.group_from_action``.
 """
 
 from __future__ import annotations
@@ -10,9 +15,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .groups import Group, check_table_cells, group_from_action, identify
-from .groups import (
-    _first_witness, _generating_sequence, _latin_violation, _light_test, _two_sided_identity
-)
 
 __all__ = [
     "TableError",
@@ -103,6 +105,65 @@ def render_table(G: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _latin_violation(rows) -> tuple[str, int, int] | None:
+    """The first repeat in a square table of entries 0..n-1, scanning rows
+    top-down then columns left to right: ("row" or "column", its index, the
+    first entry that line repeats), or None for a Latin square."""
+    n = len(rows)
+    for kind, lines in (("row", rows), ("column", zip(*rows))):
+        for i, line in enumerate(lines):
+            if len(set(line)) != n:
+                return kind, i, next(x for j, x in enumerate(line) if x in line[:j])
+    return None
+
+
+def _two_sided_identity(rows) -> int | None:
+    """The least e whose row and column both read 0..n-1, or None."""
+    header = tuple(range(len(rows)))
+    for e, row in enumerate(rows):
+        if row == header and all(r[e] == i for i, r in enumerate(rows)):
+            return e
+    return None
+
+
+def _generating_sequence(rows, identity=None) -> list[int]:
+    """Greedy generating sequence of a magma table: the least element not yet
+    reached, until every element is.  Reached means a left-normed product of
+    the sequence, or the two-sided identity when one is given."""
+    n = len(rows)
+    gens: list[int] = []
+    seeds = [] if identity is None else [identity]
+    span = set(seeds)
+    while len(span) < n:
+        gens.append(min(set(range(n)) - span))
+        queue = seeds + gens
+        span = set(queue)
+        for x in queue:
+            for y in map(rows[x].__getitem__, gens):
+                if y not in span:
+                    span.add(y)
+                    queue.append(y)
+    return gens
+
+
+def _light_test(rows, gens) -> bool:
+    """Light's associativity test: (x*g)*y == x*(g*y) for all x, y and each g
+    of a generating sequence ``gens``.  It is exact for any magma, because the
+    middle elements that pass form a submagma; the identity passes trivially."""
+    return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
+
+
+def _first_witness(rows) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None."""
+    n = len(rows)
+    for x, rx in enumerate(rows):
+        for y, ry in enumerate(rows):
+            rxy = rows[rx[y]]
+            if [rx[v] for v in ry] != list(rxy):
+                return next((x, y, z) for z in range(n) if rxy[z] != rx[ry[z]])
+    return None
+
+
 class LatinViolation(namedtuple("LatinViolation", "kind index symbol")):
     """The first repeat: ``kind`` "row" or "column", the line's index, and the
     symbol it repeats."""
@@ -171,9 +232,9 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     """Accept the table as a group iff all axioms verify; reject with the
     failed axiom and a concrete witness otherwise.
 
-    Each axiom is checked once, by the same helpers as ``Group(table)``.
-    Light's test decides associativity; the O(n^3) scan runs only on
-    rejection, to name the first failing triple.
+    This is the one way into a Group for a table from outside, and each
+    axiom is checked once.  Light's test decides associativity; the O(n^3)
+    scan runs only on rejection, to name the first failing triple.
     """
     violation = latin_check(t)
     e = _two_sided_identity(t.cells)

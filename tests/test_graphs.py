@@ -791,22 +791,22 @@ def test_acting_group_is_named_as_the_presented_group():
 
 
 def test_analyze_builds_one_group_per_cayley_graph(monkeypatch):
-    # every group the program builds ends in _acting_group: group_from_action
-    # calls it after its checks, group_from_coset_table with its own BFS tree
-    from cayleykit import groups
+    # every group the program builds goes through Group.__init__:
+    # group_from_action calls it after its checks, group_from_coset_table
+    # with its own BFS tree
+    from cayleykit.groups import Group
 
     calls = []
-    acting_group = groups._acting_group
+    init = Group.__dict__["__init__"]
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         calls.append(args)
-        return acting_group(*args, **kwargs)
+        init(self, *args, **kwargs)
 
     for graph in (fixture("mirror32"), build_cayley_graph(families.dihedral(12))):
         analyze(graph)  # builds the catalog of the graph's order
         with monkeypatch.context() as mp:
-            for module in ("cosets", "groups"):
-                mp.setattr(f"cayleykit.{module}._acting_group", counted)
+            mp.setattr(Group, "__init__", counted)
             calls.clear()
             assert analyze(graph).is_cayley
         assert len(calls) == 1

@@ -40,7 +40,7 @@ from cayleykit.groups import (
     quotient,
     subgroup_closure,
 )
-from cayleykit.tables import parse_table
+from cayleykit.tables import LAGRANGE_PRECHECK, FiniteTable, group_from_table, parse_table
 from cayleykit.words import Presentation, free_reduce, label_word, parse_presentation
 
 
@@ -60,22 +60,42 @@ def central_involution(G):
 # --- construction and validation -------------------------------------------
 
 
+def first_triple(cells):
+    """The lexicographically first non-associative triple, by brute force."""
+    n = len(cells)
+    return next(
+        (
+            (a, b, c)
+            for a in range(n)
+            for b in range(n)
+            for c in range(n)
+            if cells[cells[a][b]][c] != cells[a][cells[b][c]]
+        ),
+        None,
+    )
+
+
+def rejection_of(cells):
+    """The Rejection of a table of the symbols 0..n-1, checking the witness
+    that the table validator reports against the brute-force first triple."""
+    symbols = tuple(map(str, range(len(cells))))
+    result = group_from_table(FiniteTable(symbols, tuple(map(tuple, cells))))
+    assert not result.ok
+    assert result.witness == first_triple(cells)
+    return result.rejection
+
+
 def test_rejects_non_latin_table():
-    with pytest.raises(GroupError):
-        Group([[0, 1], [1, 1]])
+    rejection = rejection_of([[0, 1], [1, 1]])
+    assert rejection.reason == "not a Latin square"
+    assert rejection.latin_violation == ("row", 1, "1")
 
 
 def test_rejects_bad_identity_row():
-    with pytest.raises(GroupError):
-        Group([[1, 0], [0, 1]])
-
-
-def test_identity_must_be_element_zero():
-    message = "row 0 and column 0 must equal the header (element 0 is the identity)"
-    for cells in ([[1, 0], [0, 1]], [[0, 1, 2], [2, 0, 1], [1, 2, 0]]):
-        with pytest.raises(GroupError) as err:
-            Group(cells)
-        assert str(err.value) == message
+    # row 0 reads the header but column 0 does not, and no other element is
+    # a two-sided identity
+    rejection = rejection_of([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
+    assert rejection.reason == "no two-sided identity"
 
 
 def test_one_sided_inverse_is_an_associativity_failure():
@@ -89,21 +109,14 @@ def test_one_sided_inverse_is_an_associativity_failure():
         [4, 2, 0, 1, 3],
     ]
     assert cells[2][3] == 0 != cells[3][2]
-    first = next(
-        (a, b, c)
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-        if cells[cells[a][b]][c] != cells[a][cells[b][c]]
-    )
-    with pytest.raises(GroupError) as err:
-        Group(cells)
-    assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+    rejection = rejection_of(cells)
+    assert rejection.reason == "associativity fails"
+    assert rejection.witness == tuple(map(str, first_triple(cells)))
 
 
 def test_rejects_non_associative_latin_square():
     # order-5 Latin square with identity first and every square trivial;
-    # Lagrange rules it out, and the constructor's scan catches it
+    # Lagrange rules it out, and the validator's scan names the witness
     cells = [
         [0, 1, 2, 3, 4],
         [1, 0, 3, 4, 2],
@@ -111,21 +124,24 @@ def test_rejects_non_associative_latin_square():
         [3, 2, 4, 0, 1],
         [4, 3, 1, 2, 0],
     ]
-    with pytest.raises(GroupError) as err:
-        Group(cells)
-    first = next(
-        (a, b, c)
-        for a in range(5)
-        for b in range(5)
-        for c in range(5)
-        if cells[cells[a][b]][c] != cells[a][cells[b][c]]
-    )
-    assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
+    rejection = rejection_of(cells)
+    assert rejection.reason == "associativity fails"
+    assert rejection.precheck == LAGRANGE_PRECHECK
+    assert rejection.witness == tuple(map(str, first_triple(cells)))
+
+
+def checked(G):
+    """G's table through the table validator, which must accept it with
+    element 0 as its identity."""
+    symbols = tuple(map(str, range(G.order)))
+    result = group_from_table(FiniteTable(symbols, G.table))
+    assert result.ok and result.identity == "0"
+    return result.group
 
 
 def test_trusted_constructors_build_groups():
     # group_from_action skips the axiom scans, so every table the program
-    # builds must pass them when handed to the checked Group(table)
+    # builds must pass them when handed to the table validator
     built = [G for _, G in families.catalog_groups(64)]
     built += [
         families.cyclic(300),
@@ -142,15 +158,16 @@ def test_trusted_constructors_build_groups():
     report = graphs.analyze(graphs.fixture("mirror32"))
     built += [report.presented_group, group_from_action(report.verdict.color_perms)]
     for G in built:
-        assert Group(G.table).order == G.order
-    # the subgroup's own table, in member order, through the checked constructor
+        assert checked(G).order == G.order
+    # the subgroup's own table, in member order, through the validator
     pos = {m: i for i, m in enumerate(sub.members)}
-    checked = Group(
-        [[pos[D12.table[a][b]] for b in sub.members] for a in sub.members],
-        element_names=[D12.name_of(m) for m in sub.members],
+    table = FiniteTable(
+        tuple(D12.name_of(m) for m in sub.members),
+        tuple(tuple(pos[D12.table[a][b]] for b in sub.members) for a in sub.members),
     )
+    validated = group_from_table(table).group
     assert (H.table, H.element_names, H.inverse, H.generators) == (
-        checked.table, checked.element_names, checked.inverse, checked.generators
+        validated.table, validated.element_names, validated.inverse, validated.generators
     )
 
 
@@ -197,9 +214,30 @@ except GroupError as exc:
     )
 
 
+AXIOM_CHECKS = (
+    "_latin_violation", "_two_sided_identity", "_generating_sequence", "_light_test",
+    "_first_witness",
+)
+
+
+def spy_on_axiom_checks(monkeypatch):
+    """Record the name of each table-axiom helper of ``tables`` as it is called."""
+    from cayleykit import tables
+
+    calls = []
+    for name in AXIOM_CHECKS:
+        helper = getattr(tables, name)
+        monkeypatch.setattr(
+            tables, name,
+            lambda *args, name=name, helper=helper: calls.append(name) or helper(*args),
+        )
+    return calls
+
+
 def test_built_tables_go_through_group_from_action_unchecked(monkeypatch):
     # quotients, direct products and checked tables are groups by
-    # construction: one group_from_action call each, and no axiom scan
+    # construction: one group_from_action call each, and no axiom scan but
+    # the validator's own, once per axiom, on a table from outside
     from cayleykit import groups, tables
 
     Q16, C3 = families.quaternion(16), families.cyclic(3)
@@ -211,37 +249,32 @@ def test_built_tables_go_through_group_from_action_unchecked(monkeypatch):
         built.append(group_from_action(*args, **kwargs))
         return built[-1]
 
-    def no_scan(rows):
-        raise AssertionError("axiom scan on a table built by the program")
-
     monkeypatch.setattr(groups, "group_from_action", spy)
     monkeypatch.setattr(tables, "group_from_action", spy)
-    monkeypatch.setattr(groups, "_check_axioms", no_scan)
-    for build in (
-        lambda: quotient(Q16, N),
-        lambda: direct_product(Q16, C3),
-        lambda: tables.group_from_table(cyclic5).group,
+    scans = spy_on_axiom_checks(monkeypatch)
+    for build, expected in (
+        (lambda: quotient(Q16, N), []),
+        (lambda: direct_product(Q16, C3), []),
+        (lambda: tables.group_from_table(cyclic5).group, list(AXIOM_CHECKS[:4])),
     ):
         built.clear()
+        scans.clear()
         G = build()
         assert len(built) == 1 and built[0] is G
+        assert scans == expected
 
 
 def test_as_group_builds_without_axiom_scan(monkeypatch):
-    # a subgroup's table is a group by construction: only Group(table),
-    # for tables from outside, scans the axioms
-    from cayleykit import groups
-
-    calls = []
-    check = groups._check_axioms
-    monkeypatch.setattr(groups, "_check_axioms", lambda rows: calls.append(rows) or check(rows))
+    # a subgroup's action is a group by construction: only the validator of
+    # tables from outside scans the axioms
+    calls = spy_on_axiom_checks(monkeypatch)
     D12 = families.dihedral(12)
     subgroups = [subgroup_closure(D12, (g,)) for g in range(D12.order)]
     subgroups.append(subgroup_closure(D12, [g for _, g in D12.generators]))
     built = [H.as_group() for H in subgroups]
     assert calls == []
-    assert Group(built[-1].table).order == D12.order
-    assert len(calls) == 1
+    assert checked(built[-1]).order == D12.order
+    assert calls == list(AXIOM_CHECKS[:4])
 
 
 def test_group_from_action_without_columns_is_trivial():
@@ -494,9 +527,13 @@ def test_identify_order18_catalog():
 
 
 def test_generating_subset_is_computed_once_per_group(monkeypatch):
+    from cayleykit import groups
+
     families.nonabelian_catalog(10)  # the candidate D_5 has its fingerprint
     slot = Group.__dict__["_subset"]
-    computed = []
+    computed, sorted_perms = [], []
+    inverse = groups._inverse
+    monkeypatch.setattr(groups, "_inverse", lambda p: sorted_perms.append(p) or inverse(p))
 
     class CountingSlot:
         """Group's ``_subset`` slot, noting each group given a computed subset."""
@@ -510,15 +547,23 @@ def test_generating_subset_is_computed_once_per_group(monkeypatch):
             slot.__set__(G, value)
 
     monkeypatch.setattr(Group, "_subset", CountingSlot())
-    # the fingerprint, the catalog search of D_5 and the second identify all
-    # read the subset that the first read computed and kept
+    # the fingerprint, the catalog search of D_5, the second identify and
+    # the normality checks all read the subset that the first read computed
+    # and kept, with its conjugations: each permutation is inverted once,
+    # for a conjugation or for the derived subgroup's commutators
     for G, name in ((families.abelian([4, 6]), "C_12xC_2"), (families.dihedral(5), "D_5")):
         computed.clear()
+        sorted_perms.clear()
         G.fingerprint()
         assert identify(G).name == name
         assert identify(G).name == name
+        assert is_normal(G, center(G)) and is_normal(G, center(G))
         assert computed.count(G) == 1, name
         assert len(computed) == len(set(map(id, computed))), name
+        assert len(sorted_perms) == len(set(map(id, sorted_perms))), name
+        own = {id(perm) for perm in G._left + G._columns}
+        own_sorts = sum(id(perm) in own for perm in sorted_perms)
+        assert own_sorts == 2 * len(groups._generating_subset(G)), name
 
 
 def test_table_is_built_only_where_read(monkeypatch, tmp_path, capsys):
@@ -584,12 +629,15 @@ def test_identify_round_trip_over_catalog():
 
 
 def relabelled_group(G, seed):
-    """G with its non-identity elements listed in a seeded random order."""
+    """G with its non-identity elements listed in a seeded random order, read
+    back through the table validator, so it acts by its table's greedy
+    generating sequence."""
     order = list(range(1, G.order))
     random.Random(seed).shuffle(order)
     order = [0, *order]
     pos = {g: i for i, g in enumerate(order)}
-    return Group([[pos[G.table[a][b]] for b in order] for a in order])
+    table = tuple(tuple(pos[G.table[a][b]] for b in order) for a in order)
+    return group_from_table(FiniteTable(tuple(map(str, range(G.order))), table)).group
 
 
 def test_shuffled_order_64_catalog_groups_keep_their_names():
@@ -944,15 +992,34 @@ def subgroups_and_quotients(draw):
     return quotient(G, normal_closure(G, seed))
 
 
+def shuffled_text(G, order):
+    """G's table as text, its rows and columns listed in ``order``."""
+    lines = [" ".join(f"g{b}" for b in order)]
+    lines += [" ".join(f"g{G.table[a][b]}" for b in order) for a in order]
+    return "\n".join(lines)
+
+
 @st.composite
 def shuffled_tables(draw):
     # the same group read back from text whose rows and columns are permuted,
-    # the identity kept first so that the parsed cells are a Group table
+    # the identity anywhere, through the table validator
     G = draw(st.sampled_from(CATALOG))
-    order = [0, *draw(st.permutations(range(1, G.order)))]
-    lines = [" ".join(f"g{b}" for b in order)]
-    lines += [" ".join(f"g{G.table[a][b]}" for b in order) for a in order]
-    return Group(parse_table("\n".join(lines)).cells)
+    order = draw(st.permutations(range(G.order)))
+    return group_from_table(parse_table(shuffled_text(G, order))).group
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CATALOG), st.randoms(use_true_random=False))
+def test_shuffled_catalog_tables_keep_their_name_and_fingerprint(G, rng):
+    # the validator renumbers the symbols so that the identity, at a random
+    # row, becomes element 0
+    order = list(range(G.order))
+    rng.shuffle(order)
+    result = group_from_table(parse_table(shuffled_text(G, order)))
+    assert result.ok and result.identity == "g0"
+    assert result.group.element_names[0] == "g0"
+    assert result.identification == identify(G)
+    assert result.group.fingerprint() == G.fingerprint()
 
 
 @settings(max_examples=150, deadline=None)

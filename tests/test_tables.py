@@ -6,19 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit import families
-from cayleykit.groups import (
-    Group,
-    GroupError,
-    _generating_sequence,
-    _light_test,
-    is_isomorphic,
-    quotient,
-    subgroup_closure,
-)
+from cayleykit.groups import is_isomorphic, quotient, subgroup_closure
 from cayleykit.tables import (
     FiniteTable,
     LatinViolation,
     TableError,
+    _generating_sequence,
+    _light_test,
     associativity_witness,
     group_from_table,
     identity_check,
@@ -92,7 +86,7 @@ def test_parser_skips_the_record_scan(monkeypatch):
 
 
 def test_constructor_refuses_cells_that_are_not_indices():
-    # as Group(table) does: a symbol, None or a float is no index into the header
+    # a symbol, None or a float is no index into the header
     for bad in ("a", None, 1.0):
         with pytest.raises(TableError, match=f"^cell value {bad!r} out of range in row 1$"):
             FiniteTable(("a", "b"), ((0, 1), (1, bad)))
@@ -273,14 +267,6 @@ def test_light_and_reported_witness_agree_with_full_scan(t):
         assert result.rejection.witness == tuple(t.symbols[i] for i in first)
     if result.ok:
         assert first is None
-    if result.latin_violation is None and result.identity == t.symbols[0]:
-        # the untrusted Group constructor reaches the same verdict and triple
-        if first is None:
-            assert Group(t.cells).order == t.order
-        else:
-            with pytest.raises(GroupError) as err:
-                Group(t.cells)
-            assert str(err.value) == "associativity fails at ({},{},{})".format(*first)
 
 
 def with_identity_first(t):
@@ -311,15 +297,16 @@ def unital_magmas(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(small_magmas(), unital_magmas(), perturbed_group_tables()))
-def test_group_constructor_rejects_exactly_what_group_from_table_rejects(t):
-    t = with_identity_first(t)
-    result = group_from_table(t)
-    try:
-        Group(t.cells)
-    except GroupError:
-        assert not result.ok
+def test_verdict_does_not_depend_on_where_the_identity_sits(t):
+    # relabelling a table is an isomorphism of magmas: it keeps each axiom,
+    # so the validator accepts the table iff it accepts its relabelling
+    result, moved = group_from_table(t), group_from_table(with_identity_first(t))
+    assert result.ok == moved.ok
+    if result.ok:
+        assert result.identification == moved.identification
+        assert is_isomorphic(result.group, moved.group) is not None
     else:
-        assert result.ok
+        assert result.rejection.reason == moved.rejection.reason
 
 
 # --- the Latin check against a per-cell reference scan --------------------------------
@@ -414,6 +401,16 @@ def test_rejection_on_latin_violation():
     result = group_from_table(broken)
     assert not result.ok
     assert result.rejection.reason == "not a Latin square"
+
+
+def test_non_latin_table_without_identity_is_not_a_latin_square():
+    # the Latin property is checked first, so the table's first fault is its
+    # repeated symbol, not its missing identity
+    t = parse_table("e a\na a\ne e\n")
+    assert identity_check(t) is None
+    result = group_from_table(t)
+    assert result.rejection.reason == "not a Latin square"
+    assert result.rejection.describe() == "not a Latin square; row 0 repeats 'a'"
 
 
 def test_rejection_without_identity():

@@ -52,10 +52,13 @@ for cwd, argv in json.load(open(sys.argv[2])):
 FIELDS = ("exit code", "stdout", "stderr")
 
 # malformed inputs, written to one directory: each request is refused with a
-# one-line message, or its table is reported and rejected
+# one-line message, or its table is reported and rejected; and one table
+# whose identity is not its first symbol, reported and accepted
 MALFORMED_FILES = {
     "not_latin.txt": "e a\ne a\na a\n",
+    "not_latin_no_identity.txt": "e a\na a\ne e\n",
     "not_associative.txt": "e a b c d\ne a b c d\na e c d b\nb d e a c\nc b d e a\nd c a b e\n",
+    "identity_last.txt": "a b e\nb e a\ne a b\na b e\n",
     "broken.json": '{"nodes": 3, "edges": [',
 }
 MALFORMED = [
@@ -63,8 +66,12 @@ MALFORMED = [
     ["quotient", "--presentation", "<a | a^4>", "--normal", "b"],
     ["identify", "--table", "not_latin.txt"],
     ["check-table", "not_latin.txt", "--json"],
+    ["identify", "--table", "not_latin_no_identity.txt"],
+    ["check-table", "not_latin_no_identity.txt", "--json"],
     ["identify", "--table", "not_associative.txt"],
     ["check-table", "not_associative.txt", "--json"],
+    ["identify", "--table", "identity_last.txt"],
+    ["check-table", "identity_last.txt", "--json"],
     ["check-graph", "broken.json"],
     ["enumerate", "<a | a^3>", "--max-cosets", "0"],
 ]
