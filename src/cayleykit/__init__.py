@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "groups": (
         "CapExceeded", "Fingerprint", "Group", "GroupError", "Identification", "Subgroup",
-        "center", "enumerate_subgroups", "has_semidirect_decomposition", "identify",
-        "is_isomorphic", "is_normal", "quotient", "subgroup_closure",
+        "cayley_table", "center", "enumerate_subgroups", "has_semidirect_decomposition",
+        "identify", "is_isomorphic", "is_normal", "quotient", "subgroup_closure",
     ),
     "tables": (
         "FiniteTable", "TableError", "associativity_witness", "group_from_table",

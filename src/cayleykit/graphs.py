@@ -23,7 +23,7 @@ from operator import itemgetter
 
 from . import cosets
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, _inverse, _left_multiplications, _spanning_tree,
+    MAX_TABLE_CELLS, CapExceeded, Group, _along, _inverse, _spanning_tree, cayley_table,
     identify, subgroup_closure,
 )
 from .words import Presentation, _check_generator_names
@@ -180,7 +180,7 @@ def _regular_quotient(perms):
             return None
         after = [itemgetter(*p) for p in columns]  # after[i](left)[x] = left[p_i[x]]
         pending = []
-        for left in _left_multiplications(columns, tree):
+        for left in (_along(columns, tree, col[0]) for col in columns):
             then = itemgetter(*left)  # then(p)[x] = p[left[x]]
             for get, p in zip(after, columns):
                 moved, image = get(left), then(p)
@@ -257,7 +257,7 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
     if len(subgroup_closure(G, [el for _, el in gens]).members) != G.order:
         raise GraphError("the given elements do not generate the group")
     colors = []
-    t = G.table
+    t = cayley_table(G)
     for name, el in gens:
         matching = G.element_orders()[el] == 2  # an involution's edges pair up
         edges = tuple((g, t[g][el]) for g in range(G.order) if not matching or g < t[g][el])

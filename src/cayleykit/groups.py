@@ -7,21 +7,22 @@ closed coset table, a matrix closure, a Cayley graph's colours, a quotient's
 cosets, a direct product's pairs, a checked table's symbols or a subgroup's
 members) comes through ``group_from_action``, or from the coset-table route
 with that route's own BFS tree.  A table from outside enters through
-``tables.group_from_table`` only, which checks every axiom.  The group keeps
-the action and builds its dense ``table`` and ``inverse`` on their first
-read.  A dense table holds at most ``MAX_TABLE_CELLS`` cells; a larger group
-is refused with ``CapExceeded`` before it is built.
+``tables.group_from_table`` only, which checks every axiom.  The group is
+only its action: left and right multiplications commute, so x -> g x is one
+O(n) walk along the action's BFS tree (``_along``), and only the printers
+draw an n x n table (``cayley_table``), of at most ``MAX_TABLE_CELLS``
+cells; a larger group is refused with ``CapExceeded`` before it is built.
 
-The fingerprint comes from the action, with no table: commuting generators,
-the centre, the commutators' normal closure and the element orders, each
-read along a generating subset of at most log2 n of the action's columns; the
-invariant factors are read off the order histogram.  Maps, normality and
-quotients read the same subset: ``is_normal`` conjugates by it, each normal
-closure is one orbit walk, ``quotient`` acts by it on the cosets, and
-``is_isomorphic`` walks the span of the generators it has mapped, since a
-map that respects each generator there is a homomorphism.
-``enumerate_subgroups`` grows each subgroup found by one cyclic subgroup at
-a time.
+The fingerprint comes from the action: commuting generators, the centre, the
+commutators' normal closure and the element orders, each read along a
+generating subset of at most log2 n of the action's columns; the invariant
+factors are read off the order histogram.  Maps, normality and quotients
+read the same subset: ``is_normal`` conjugates by it, each normal closure is
+one orbit walk, ``quotient`` acts by it on the cosets, and ``is_isomorphic``
+walks the span of the generators it has mapped, since a map that respects
+each generator there is a homomorphism.  Subgroups are spans (``_span``),
+and ``enumerate_subgroups`` grows each subgroup found by one cyclic subgroup
+at a time.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from itertools import combinations
 from math import gcd, lcm
-from operator import eq, itemgetter
+from operator import itemgetter
 
 __all__ = [
     "CapExceeded",
     "GroupError",
     "Group",
     "group_from_action",
+    "cayley_table",
     "check_table_cells",
     "MAX_TABLE_CELLS",
     "Subgroup",
@@ -85,15 +87,14 @@ class Fingerprint(namedtuple(
 
 
 class Group:
-    """Finite group on the elements 0..n-1, kept as the right action of a
-    generating set: its columns, their BFS tree from 0 and their left
-    multiplications.  The n x n multiplication ``table`` and the ``inverse``
-    of each element are built on first read.  The constructor takes the
-    action, so a table from outside enters through ``tables.group_from_table``."""
+    """Finite group on the elements 0..n-1, kept only as the right action of
+    a generating set: its columns and their BFS tree from 0.  The constructor
+    takes the action, so a table from outside enters through
+    ``tables.group_from_table``."""
 
     __slots__ = (
-        "order", "table", "inverse", "element_names", "generators", "_columns",
-        "_tree", "_left", "_subset", "_orders", "_centralizers", "_fp",
+        "order", "element_names", "generators", "_columns", "_tree", "_subset",
+        "_orders", "_centralizers", "_fp",
     )
 
     def __init__(self, columns, tree, element_names=None, generators=()):
@@ -104,7 +105,6 @@ class Group:
         n = len(columns[0]) if columns else 1
         self.order = n
         self._columns, self._tree = columns, tree
-        self._left = _left_multiplications(columns, tree)
         if element_names is not None:
             names = tuple(str(x) for x in element_names)
             if len(names) != n or len(set(names)) != n:
@@ -122,26 +122,19 @@ class Group:
     def identity(self) -> int:
         return 0
 
-    def __getattr__(self, name):
-        """``table`` (row x holds x * y at y) and ``inverse``, left unset
-        until their first read builds both from the action."""
-        if name not in ("table", "inverse"):
-            raise AttributeError(name)
-        _build_table(self)
-        return getattr(self, name)
-
     def element_orders(self) -> tuple[int, ...]:
-        """The order of each element, computed on the first call only.
+        """The order of each element and of its centraliser, on the first call only.
 
         In BFS order, each element x with no order yet walks its powers by
         its tree word; x^j has order m / gcd(j, m) for m the order of x, and
         each element so ordered passes its order on to its conjugacy class,
         its orbit under y -> s^-1 y s for the generators s of
-        ``_generating_subset``."""
+        ``_generating_subset``, and c, its size, gives each a centraliser of n / c."""
         if self._orders is None:
+            n = self.order
             link = {x: (y, k) for x, y, k in self._tree}
             conjugations = _conjugations(self)
-            orders = [0] * self.order
+            orders, centralizers = [0] * n, [0] * n
             for x in [0, *link]:
                 if orders[x]:
                     continue
@@ -158,19 +151,16 @@ class Group:
                 m = len(powers)
                 for j, z in enumerate(powers, 1):
                     if not orders[z]:  # then nor has its class: each is ordered whole
-                        for w in _orbit(z, conjugations):
-                            orders[w] = m // gcd(j, m)
-            self._orders = tuple(orders)
+                        cls = _orbit(z, conjugations)
+                        for w in cls:
+                            orders[w], centralizers[w] = m // gcd(j, m), n // len(cls)
+            self._orders, self._centralizers = tuple(orders), tuple(centralizers)
         return self._orders
 
     def centralizer_orders(self) -> tuple[int, ...]:
-        """The order of each element's centraliser, computed on the first call
-        only: g's centraliser holds the x where g's row and column agree."""
-        if self._centralizers is None:
-            t = self.table
-            self._centralizers = tuple(
-                sum(map(eq, row, column)) for row, column in zip(t, zip(*t))
-            )
+        """The order of each element's centraliser, n over the size of its
+        conjugacy class, which ``element_orders`` walks."""
+        self.element_orders()
         return self._centralizers
 
     def order_histogram(self) -> Counter[int]:
@@ -231,15 +221,16 @@ def _spanning_tree(columns) -> list[tuple[int, int, int]]:
     return tree
 
 
-def _left_multiplications(columns, tree) -> list[list[int]]:
-    """Each generator's map x -> (0 * s) * x, from L_s(y * g) = L_s(y) * g."""
-    maps = []
-    for col in columns:
-        left = [col[0]] * len(col)
-        for x, y, k in tree:
-            left[x] = columns[k][left[y]]
-        maps.append(left)
-    return maps
+def _along(maps, tree, start) -> list[int]:
+    """The map f with f(0) = start that commutes with ``maps``, walked along
+    their BFS ``tree``: f(x) = maps[k](f(y)) for each edge x = maps[k](y).
+    Along a group's own tree it is L_g: x -> g x for g = start, since left
+    and right multiplications commute (Dixon & Mortimer, Permutation Groups,
+    Thm 4.2A); along a tree of a subgroup's left multiplications it is R_g."""
+    f = [start] * (len(tree) + 1)
+    for x, y, k in tree:
+        f[x] = maps[k][f[y]]
+    return f
 
 
 def group_from_action(columns, element_names=None, generators=()) -> Group:
@@ -259,22 +250,15 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
     return Group(columns, tree, element_names, generators)
 
 
-def _build_table(G: Group):
-    """G's rows and inverses along its BFS tree: each row follows from its
-    parent's and a generator's left multiplication, row(y * s)[x] =
-    row(y)[L_s(x)], and each inverse from its parent's, (y * s)^-1 =
-    s^-1 * y^-1."""
-    n, tree = G.order, G._tree
-    getters = [itemgetter(*left) for left in G._left]
-    rows: list[tuple[int, ...]] = [()] * n
-    rows[0] = tuple(range(n))
-    for x, y, k in tree:
+def cayley_table(G: Group) -> tuple[tuple[int, ...], ...]:
+    """G's n x n multiplication table, row x holding x * y at y, drawn anew on
+    each call for the printers that show it: each row follows from its BFS
+    parent's and a generator's left multiplication, row(y s)[x] = row(y)[L_s(x)]."""
+    getters = [itemgetter(*_along(G._columns, G._tree, col[0])) for col in G._columns]
+    rows = [tuple(range(G.order))] * G.order  # row 0 stays; the tree overwrites the rest
+    for x, y, k in G._tree:
         rows[x] = getters[k](rows[y])
-    gen_inverse = [rows[col[0]].index(0) for col in G._columns]
-    inverse = [0] * n
-    for x, y, k in tree:
-        inverse[x] = rows[gen_inverse[k]][inverse[y]]
-    G.table, G.inverse = tuple(rows), tuple(inverse)
+    return tuple(rows)
 
 
 def _inverse(perm) -> list[int]:
@@ -282,27 +266,39 @@ def _inverse(perm) -> list[int]:
     return sorted(range(len(perm)), key=perm.__getitem__)
 
 
+def _span(G: Group, elements) -> tuple[list[int], list[list[int]], set[int]]:
+    """(kept, their left multiplications, span): each of the ``elements`` is
+    kept only if it lies outside the span of those kept before, the subgroup
+    they generate.  Each kept element at least doubles the span, so at most
+    log2 n are kept, however many are offered."""
+    kept, lefts, span = [], [], {0}
+    for g in elements:
+        if g not in span:
+            kept.append(g)
+            lefts.append(_along(G._columns, G._tree, g))
+            span = set(_orbit(0, lefts))
+    return kept, lefts, span
+
+
 def _generating_subset(G: Group) -> list[tuple[list[int], list[int], list[int]]]:
-    """(left multiplication, column, conjugation) of a generating subset of
-    G's action, computed on the first call only: a column is kept only if it
-    takes 0 outside the span of those kept before.  Each kept column at least
-    doubles the span, so at most log2 n are kept, however many the action
-    has.  A member s's conjugation is y -> s^-1 y s, L_s^-1(R_s(y))."""
+    """(left multiplication, column, conjugation) of the ``_span`` of the
+    elements s = col[0] of G's action, computed on the first call only.  A
+    member s's conjugation is y -> s^-1 y s, L_s^-1(R_s(y))."""
     if G._subset is None:
-        kept, span = [], {0}
-        for left, col in zip(G._left, G._columns):
-            if col[0] not in span:
-                kept.append((left, col))
-                span = set(_orbit(0, [c for _, c in kept]))
+        column_of = {col[0]: col for col in G._columns}
+        kept, lefts, _ = _span(G, column_of)
         G._subset = [
-            (left, col, list(map(_inverse(left).__getitem__, col))) for left, col in kept
+            (left, column_of[s], list(map(_inverse(left).__getitem__, column_of[s])))
+            for s, left in zip(kept, lefts)
         ]
     return G._subset
 
 
-def _generators(G: Group) -> list[int]:
-    """The elements of ``_generating_subset``, each outside the span of those before."""
-    return [col[0] for _, col, _ in _generating_subset(G)]
+def _right(G: Group, g: int) -> list[int]:
+    """R_g: x -> x g, walked along a tree of the generating subset's left
+    multiplications, since R_g(s x) = s R_g(x)."""
+    lefts = [left for left, _, _ in _generating_subset(G)]
+    return _along(lefts, _spanning_tree(lefts), g)
 
 
 def _conjugations(G: Group) -> list[list[int]]:
@@ -343,35 +339,24 @@ class Subgroup(namedtuple("Subgroup", "parent members")):
 
     def as_group(self) -> Group:
         """The subgroup as a standalone Group in member order, acted on by
-        right multiplication by each member outside the span of those kept
-        before: |H| cells per kept member, and no |H| x |H| table."""
+        right multiplication by the members that ``_span`` keeps: R_g walked
+        along a tree of their left multiplications on H, since R_g(k b) =
+        k R_g(b), |H| cells per kept member."""
         parent, pos = self.parent, {m: i for i, m in enumerate(self.members)}
-        t, columns, span = parent.table, [], {0}
-        for i, g in enumerate(self.members):
-            if i not in span:
-                columns.append([pos[t[a][g]] for a in self.members])
-                span = set(_orbit(0, columns))
+        kept, lefts, _ = _span(parent, self.members)
+        lefts = [[pos[left[m]] for m in self.members] for left in lefts]
+        tree = _spanning_tree(lefts)
+        columns = [_along(lefts, tree, pos[g]) for g in kept]
         names = tuple(map(parent.name_of, self.members)) if parent.element_names else None
         return group_from_action(columns, element_names=names)
 
 
 def subgroup_closure(G: Group, seed) -> Subgroup:
-    """Least subgroup containing the seed elements (BFS under multiplication)."""
+    """Least subgroup containing the seed elements: their ``_span``."""
     seed = tuple(seed)
     if not seed:
         raise GroupError("seed must be nonempty")
-    t = G.table
-    members = {0}
-    queue = [0]
-    gens = sorted(set(seed))
-    while queue:
-        a = queue.pop()
-        for g in gens:
-            b = t[a][g]
-            if b not in members:
-                members.add(b)
-                queue.append(b)
-    return Subgroup(G, tuple(sorted(members)))
+    return Subgroup(G, tuple(sorted(_span(G, seed)[2])))
 
 
 def center(G: Group) -> Subgroup:
@@ -394,11 +379,12 @@ def derived_subgroup(G: Group) -> Subgroup:
     return _normal_orbit(G, commutators)
 
 
-def _normal_orbit(G: Group, right) -> Subgroup:
-    """The normal closure of the elements that the maps ``right`` multiply by:
-    the orbit of 1 under them and under conjugation by each generator (Holt,
-    Eick & O'Brien, 2005); conjugation keeps it, so their conjugates do too."""
-    return Subgroup(G, tuple(sorted(_orbit(0, right + _conjugations(G)))))
+def _normal_orbit(G: Group, maps) -> Subgroup:
+    """The normal closure of the elements that ``maps`` multiply by, all on
+    the left or all on the right: the orbit of 1 under them and under
+    conjugation by each generator (Holt, Eick & O'Brien, 2005); conjugation
+    keeps it, so their conjugates do too."""
+    return Subgroup(G, tuple(sorted(_orbit(0, maps + _conjugations(G)))))
 
 
 def is_normal(G: Group, H: Subgroup) -> bool:
@@ -409,9 +395,9 @@ def is_normal(G: Group, H: Subgroup) -> bool:
 
 
 def normal_closure(G: Group, seed) -> Subgroup:
-    """Least normal subgroup containing the seed elements, by ``_normal_orbit``."""
-    t = G.table
-    return _normal_orbit(G, [[row[x] for row in t] for x in set(seed)])
+    """Least normal subgroup containing the seed elements, by ``_normal_orbit``
+    over their left multiplications."""
+    return _normal_orbit(G, [_along(G._columns, G._tree, x) for x in set(seed)])
 
 
 def quotient(G: Group, N: Subgroup) -> Group:
@@ -420,18 +406,16 @@ def quotient(G: Group, N: Subgroup) -> Group:
         raise GroupError("subgroup belongs to a different group")
     if not is_normal(G, N):
         raise GroupError("subgroup is not normal")
-    t = G.table
+    _, lefts, _ = _span(G, N.members)
     coset_of = [-1] * G.order
     reps: list[int] = []
     for g in range(G.order):
-        if coset_of[g] >= 0:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in N.members:
-            coset_of[t[g][h]] = idx
+        if coset_of[g] < 0:
+            for x in _orbit(g, lefts):  # gN = Ng, walked by N's left multiplications
+                coset_of[x] = len(reps)
+            reps.append(g)
     # coset rN times gN is (rg)N: G's generators act on the cosets
-    columns = [[coset_of[t[r][g]] for r in reps] for g in _generators(G)]
+    columns = [[coset_of[col[r]] for r in reps] for _, col, _ in _generating_subset(G)]
     names = tuple(G.name_of(r) for r in reps)
     gens = []
     seen = set()
@@ -492,9 +476,11 @@ def is_isomorphic(G: Group, H: Group):
     candidate images are those of the same order and centraliser order, tried
     in ascending element order, so the result is deterministic.  Each partial
     map is checked by a walk from the identity over the span of the assigned
-    generators: every step x -> x*g must land on phi(x)*phi(g), and no image
+    generators: every step x -> g*x must land on phi(g)*phi(x), and no image
     may be used twice.  A map that respects each generator on the whole span
-    is a homomorphism there, by induction on word length.
+    is a homomorphism there, by induction on word length.  G's steps are its
+    subset's left multiplications; each candidate h's, L_h, is walked once
+    per call.
     """
     if G.order != H.order or G.fingerprint() != H.fingerprint():
         return None
@@ -502,16 +488,16 @@ def is_isomorphic(G: Group, H: Group):
     # an isomorphism preserves each element's order and centraliser order
     kind_g = list(zip(G.element_orders(), G.centralizer_orders()))
     kind_h = list(zip(H.element_orders(), H.centralizer_orders()))
-    gens = _generators(G)
-    tg, th = G.table, H.table
+    gens = [(col[0], left) for left, col, _ in _generating_subset(G)]
+    lefts_h: dict[int, list[int]] = {}
 
-    def walk(assigned: list[tuple[int, int]]):
-        """phi on the span of the assigned (g, phi(g)) pairs, or None unless
-        it is well defined and injective."""
+    def walk(assigned: list[tuple[list[int], list[int]]]):
+        """phi on the span of the assigned (L_g, L_phi(g)) pairs, or None
+        unless it is well defined and injective."""
         phi, queue = {0: 0}, [0]
         for x in queue:  # a BFS queue, appended to while walked
-            for g, h in assigned:
-                y, z = tg[x][g], th[phi[x]][h]
+            for left_g, left_h in assigned:
+                y, z = left_g[x], left_h[phi[x]]
                 if y not in phi:
                     phi[y] = z
                     queue.append(y)
@@ -519,15 +505,17 @@ def is_isomorphic(G: Group, H: Group):
                     return None
         return phi if len(set(phi.values())) == len(phi) else None
 
-    def extend(phi: dict[int, int], assigned: list[tuple[int, int]], k: int):
+    def extend(phi: dict[int, int], assigned: list, k: int):
         if k == len(gens):
             return phi if len(phi) == n else None
-        g = gens[k]  # outside the span of gens[:k], so not yet in phi
+        g, left_g = gens[k]  # g is outside the span of gens[:k], so not yet in phi
         used = set(phi.values())
         for h in range(n):
             if h in used or kind_h[h] != kind_g[g]:
                 continue
-            trial = [*assigned, (g, h)]
+            if h not in lefts_h:
+                lefts_h[h] = _along(H._columns, H._tree, h)
+            trial = [*assigned, (left_g, lefts_h[h])]
             span = walk(trial)
             result = None if span is None else extend(span, trial, k + 1)
             if result is not None:

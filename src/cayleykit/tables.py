@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .groups import Group, check_table_cells, group_from_action, identify
+from .groups import Group, cayley_table, check_table_cells, group_from_action, identify
 
 __all__ = [
     "TableError",
@@ -100,7 +100,7 @@ def render_table(G: Group) -> str:
     names = [G.name_of(i) for i in range(G.order)]
     width = max(len(s) for s in names)
     lines = [" ".join(s.ljust(width) for s in names).rstrip()]
-    for row in G.table:
+    for row in cayley_table(G):
         lines.append(" ".join(names[x].ljust(width) for x in row).rstrip())
     return "\n".join(lines) + "\n"
 

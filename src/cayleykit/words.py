@@ -293,16 +293,22 @@ def format_presentation(p: Presentation) -> str:
 
 
 def evaluate_word(group, assignment: dict[int, int], word: Word) -> int:
-    """Left-to-right product of a word's letters in an explicit group.
+    """Left-to-right product of a word's letters in a ``groups.Group``.
 
-    ``assignment`` maps generator indices to element indices of ``group``
-    (anything with ``identity``, ``table`` and ``inverse``).
+    ``assignment`` maps generator indices to element indices of ``group``.
+    Each element and inverse used acts by its right multiplication, walked
+    along the group's action once in O(n): a letter is one lookup.
     """
-    table, inverse = group.table, group.inverse
+    from .groups import _right  # deferred: words loads without groups
+
+    right: dict[tuple[int, int], list[int]] = {}  # (element, sign) -> x -> x element^sign
     value = group.identity
     for gen, sign in word:
         if gen not in assignment:
             raise KeyError(f"generator {gen} has no assigned element")
         image = assignment[gen]
-        value = table[value][image if sign > 0 else inverse[image]]
+        if (image, sign) not in right:
+            perm = _right(group, image)
+            right[image, sign] = perm if sign > 0 else _right(group, perm.index(0))
+        value = right[image, sign][value]
     return value

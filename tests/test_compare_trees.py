@@ -51,3 +51,19 @@ def test_a_changed_error_text_is_reported(tmp_path):
         "'error: max_cosets must be at least 1\\n' != 'error: max_cosets must be positive\\n'"
     ]
     assert summary.endswith(" requests, 1 differences")
+
+
+def test_a_changed_dot_file_is_reported(tmp_path):
+    # the printed requests compare the DOT file each one writes, whatever it prints
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    graphs = tmp_path / "src" / "cayleykit" / "graphs.py"
+    text = graphs.read_text()
+    assert text.count('lines = ["digraph G {"]') == 1
+    graphs.write_text(text.replace('lines = ["digraph G {"]', 'lines = ["digraph G  {"]'))
+    changed = compare(ROOT, tmp_path)
+    assert changed.returncode == 1, changed.stderr
+    *differences, summary = changed.stdout.splitlines()
+    assert [line.split(": dot file differs")[0] for line in differences] == ["printed"] * 2
+    assert all("'digraph G {" in line for line in differences)
+    assert all("'digraph G  {" in line for line in differences)
+    assert summary.endswith(" requests, 2 differences")

@@ -28,7 +28,7 @@ from cayleykit.graphs import (
     load_graph_json,
 )
 from cayleykit.groups import (
-    CapExceeded, _spanning_tree, group_from_action, identify, is_isomorphic,
+    CapExceeded, _spanning_tree, cayley_table, group_from_action, identify, is_isomorphic,
     subgroup_closure,
 )
 from cayleykit.words import Presentation, free_reduce
@@ -638,10 +638,9 @@ def assert_read_as_enumerated(graph, base=0):
     assert table.open_relator() is None
     reference = group_from_presentation(presentation)
     for group in (report.presented_group, group_from_coset_table(table)):
-        assert group.table == reference.table
+        assert cayley_table(group) == cayley_table(reference)
         assert group.element_names == reference.element_names
         assert group.generators == reference.generators
-        assert group.inverse == reference.inverse
     return counts
 
 
@@ -663,14 +662,15 @@ def coset_graph(G, members, gens):
     """The Schreier graph of G on the right cosets of the subgroup with these
     members, one colour per generator (undirected when it is an involution),
     or None when a generator fixes a coset."""
+    t = cayley_table(G)
     coset_of, reps = {}, []
     for x in range(G.order):
         if x not in coset_of:
             reps.append(x)
-            coset_of.update((G.table[k][x], len(reps) - 1) for k in members)
+            coset_of.update((t[k][x], len(reps) - 1) for k in members)
     colors = []
     for i, s in enumerate(gens):
-        perm = [coset_of[G.table[r][s]] for r in reps]
+        perm = [coset_of[t[r][s]] for r in reps]
         if any(perm[x] == x for x in range(len(reps))):
             return None
         if all(perm[perm[x]] == x for x in range(len(reps))):

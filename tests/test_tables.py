@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cayleykit import families
-from cayleykit.groups import is_isomorphic, quotient, subgroup_closure
+from cayleykit.groups import cayley_table, is_isomorphic, quotient, subgroup_closure
 from cayleykit.tables import (
     FiniteTable,
     LatinViolation,
@@ -32,7 +32,7 @@ def cells_of(t, x, y):
 
 
 def table_from_group(G):
-    return FiniteTable(tuple(G.name_of(i) for i in range(G.order)), G.table)
+    return FiniteTable(tuple(G.name_of(i) for i in range(G.order)), cayley_table(G))
 
 
 # --- parsing -------------------------------------------------------------------
@@ -466,7 +466,8 @@ def test_lagrange_precheck_is_safe():
 
 def quotient_by_central_involution(G):
     z = [g for g in range(1, G.order) if G.element_orders()[g] == 2]
-    central = [g for g in z if all(G.table[g][h] == G.table[h][g] for h in range(G.order))]
+    t = cayley_table(G)
+    central = [g for g in z if all(t[g][h] == t[h][g] for h in range(G.order))]
     return subgroup_closure(G, central[:1])
 
 

@@ -177,6 +177,24 @@ def test_evaluate_word_odd_power():
     assert evaluate_word(G, assignment, word) == assignment[0]
 
 
+def test_evaluate_word_walks_each_element_once(monkeypatch):
+    # one right multiplication per (element, sign), and per inverse letter one
+    # more to find the inverse: a long word costs a lookup a letter
+    from cayleykit import groups
+
+    walks = []
+    right = groups._right
+    monkeypatch.setattr(groups, "_right", lambda G, g: walks.append(g) or right(G, g))
+    G = dihedral(420)
+    assignment = {i: el for i, (_, el) in enumerate(G.generators)}
+    word = parse_word("r^1000 f^-1 r^-3 f", ("r", "f"))
+    # f^-1 r^-3 f = r^3, so the word is r^1003 = r^163 in D_420
+    assert evaluate_word(G, assignment, word) == evaluate_word(
+        G, assignment, parse_word("r^163", ("r", "f"))
+    )
+    assert len(walks) == 1 + 2 + 2 + 1 + 1
+
+
 def test_evaluate_word_missing_assignment():
     G = dihedral(4)
     with pytest.raises(KeyError):

@@ -1,14 +1,16 @@
 """Send the same requests through two checkouts' ``cli.main`` and report every
-difference in exit code, stdout or stderr.
+difference in exit code, stdout, stderr or the file a request writes with
+``--dot``.
 
     python3 tools/compare_trees.py OLD_ROOT NEW_ROOT --blocks 12
 
 The requests are blocks 0..N-1 of each benchmark workload at seed 1 (drawn
 by ``perfbench/workloads.py`` of OLD_ROOT, data files written once to a shared
 temporary directory), the commands of the golden cases in
-``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``, and the fixed
-malformed requests of ``MALFORMED``, whose exit codes and one-line errors
-must match as well.  Each checkout
+``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``, the fixed
+requests of ``PRINTED``, whose tables and DOT files are compared, and the
+fixed malformed requests of ``MALFORMED``, whose exit codes and one-line
+errors must match as well.  Each checkout
 answers them all in one child interpreter with its own ``src`` first on
 ``sys.path``; ``cli_cold`` requests go through ``cli.main`` there too.  A JSON
 report is compared without its ``timing_ms``.  Prints one line per difference
@@ -31,6 +33,9 @@ sys.path.insert(0, sys.argv[1])
 from cayleykit import cli
 for cwd, argv in json.load(open(sys.argv[2])):
     os.chdir(cwd)
+    dot = argv[argv.index("--dot") + 1] if "--dot" in argv else None
+    if dot and os.path.exists(dot):
+        os.remove(dot)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -46,10 +51,21 @@ for cwd, argv in json.load(open(sys.argv[2])):
         if isinstance(document, dict):
             document.pop("timing_ms", None)
             text = json.dumps(document, sort_keys=True)
-    print(json.dumps([code, text, err.getvalue()]))
+    written = open(dot).read() if dot and os.path.exists(dot) else None
+    print(json.dumps([code, text, err.getvalue(), written]))
 """
 
-FIELDS = ("exit code", "stdout", "stderr")
+FIELDS = ("exit code", "stdout", "stderr", "dot file")
+
+# requests that print a whole Cayley table or write a Cayley graph as DOT,
+# run in one directory; the quotient's normal words hold inverse letters
+PRINTED = [
+    ["make", "dihedral", "6", "--table", "--dot", "d6.dot"],
+    ["make", "dq", "16", "--table", "--dot", "dq16.dot"],
+    ["quotient", "--presentation", "<r,f | r^8, f^2, (r f)^2>", "--normal", "r^-2", "--table"],
+    ["quotient", "--presentation", "<a,b | a^4, b^4, a^-1 b^-1 a b>",
+     "--normal", "a^-2 b^-2", "--table", "--json"],
+]
 
 # malformed inputs, written to one directory: each request is refused with a
 # one-line message, or its table is reported and rejected; and one table
@@ -108,6 +124,10 @@ def requests(root: Path, blocks: int, workdir: Path):
     data = str(root / "tests" / "data")
     for argv in golden_commands(root):
         found.append(("golden", data, argv))
+    where = workdir / "printed"
+    where.mkdir()
+    for argv in PRINTED:
+        found.append(("printed", str(where), argv))
     where = workdir / "malformed"
     where.mkdir()
     for file, text in MALFORMED_FILES.items():
