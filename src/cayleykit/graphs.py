@@ -23,8 +23,7 @@ from operator import itemgetter
 
 from . import cosets
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, _along, _inverse, _spanning_tree, cayley_table,
-    identify, subgroup_closure,
+    MAX_TABLE_CELLS, CapExceeded, Group, _along, _inverse, _right, _spanning_tree, identify,
 )
 from .words import Presentation, _check_generator_names
 
@@ -245,7 +244,7 @@ def _verdict(perms, quotient, full_order, order_cap=FULL_ORDER_CAP) -> GraphVerd
 
 
 def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
-    """Edge g -> g*s per generator s; order-2 generators become matchings."""
+    """Edge g -> g*s per generator s, along R_s; order-2 generators become matchings."""
     if gens is None:
         gens = G.generators
     gens = tuple((str(name), int(el)) for name, el in gens)
@@ -254,16 +253,18 @@ def build_cayley_graph(G: Group, gens=None) -> ColoredDigraph:
     for name, el in gens:
         if el == 0:
             raise GraphError(f"generator {name!r} is the identity")
-    if len(subgroup_closure(G, [el for _, el in gens]).members) != G.order:
+        if not 0 < el < G.order:
+            raise GraphError(f"generator {name!r} is not an element of the group")
+    columns = [_right(G, el) for _, el in gens]
+    if len(_spanning_tree(columns)) != G.order - 1:
         raise GraphError("the given elements do not generate the group")
     colors = []
-    t = cayley_table(G)
-    for name, el in gens:
-        matching = G.element_orders()[el] == 2  # an involution's edges pair up
-        edges = tuple((g, t[g][el]) for g in range(G.order) if not matching or g < t[g][el])
+    for (name, el), col in zip(gens, columns):
+        matching = col[el] == 0  # s*s = e: an involution's edges pair up
+        edges = tuple((g, col[g]) for g in range(G.order) if not matching or g < col[g])
         colors.append(EdgeColor(name, not matching, edges))
     labels = G.element_names if G.element_names is not None else tuple(map(str, range(G.order)))
-    # edges from the table are in range and distinct, and the labels unique
+    # edges from the action are in range and distinct, and the labels unique
     return tuple.__new__(ColoredDigraph, (G.order, tuple(colors), labels))
 
 

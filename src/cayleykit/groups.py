@@ -9,8 +9,8 @@ members) comes through ``group_from_action``, or from the coset-table route
 with that route's own BFS tree.  A table from outside enters through
 ``tables.group_from_table`` only, which checks every axiom.  The group is
 only its action: left and right multiplications commute, so x -> g x is one
-O(n) walk along the action's BFS tree (``_along``), and only the printers
-draw an n x n table (``cayley_table``), of at most ``MAX_TABLE_CELLS``
+O(n) walk along the action's BFS tree (``_along``), and only the printer
+draws an n x n table (``cayley_table``), of at most ``MAX_TABLE_CELLS``
 cells; a larger group is refused with ``CapExceeded`` before it is built.
 
 The fingerprint comes from the action: commuting generators, the centre, the
@@ -252,7 +252,7 @@ def group_from_action(columns, element_names=None, generators=()) -> Group:
 
 def cayley_table(G: Group) -> tuple[tuple[int, ...], ...]:
     """G's n x n multiplication table, row x holding x * y at y, drawn anew on
-    each call for the printers that show it: each row follows from its BFS
+    each call for the printer that shows it: each row follows from its BFS
     parent's and a generator's left multiplication, row(y s)[x] = row(y)[L_s(x)]."""
     getters = [itemgetter(*_along(G._columns, G._tree, col[0])) for col in G._columns]
     rows = [tuple(range(G.order))] * G.order  # row 0 stays; the tree overwrites the rest

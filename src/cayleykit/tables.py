@@ -4,10 +4,12 @@ Text format: a header line of whitespace-separated symbols, then n body rows
 of n symbols; cell (i, j) is row-symbol-i times column-symbol-j.  Lines
 starting with '#' are comments.
 
-``group_from_table`` is the one validator of a table from outside: it checks
-the Latin property, the two-sided identity and associativity (Light's test),
-renumbers the symbols so the identity is element 0, and builds the Group from
-the table's action through ``groups.group_from_action``.
+Each axiom is decided by one function: ``latin_check`` (the first repeat),
+``identity_check`` (the two-sided identity) and Light's test (associativity),
+with ``associativity_witness`` naming the first failing triple.
+``group_from_table`` is the one validator of a table from outside: it calls
+them, renumbers the symbols so the identity is element 0, and builds the
+Group from the table's action through ``groups.group_from_action``.
 """
 
 from __future__ import annotations
@@ -105,24 +107,30 @@ def render_table(G: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _latin_violation(rows) -> tuple[str, int, int] | None:
-    """The first repeat in a square table of entries 0..n-1, scanning rows
-    top-down then columns left to right: ("row" or "column", its index, the
-    first entry that line repeats), or None for a Latin square."""
-    n = len(rows)
-    for kind, lines in (("row", rows), ("column", zip(*rows))):
+class LatinViolation(namedtuple("LatinViolation", "kind index symbol")):
+    """The first repeat: ``kind`` "row" or "column", the line's index, and the
+    symbol it repeats."""
+
+    __slots__ = ()
+
+
+def latin_check(t: FiniteTable) -> LatinViolation | None:
+    """First repeated symbol, scanning rows top-down then columns left-right."""
+    n = t.order
+    for kind, lines in (("row", t.cells), ("column", zip(*t.cells))):
         for i, line in enumerate(lines):
             if len(set(line)) != n:
-                return kind, i, next(x for j, x in enumerate(line) if x in line[:j])
+                x = next(x for j, x in enumerate(line) if x in line[:j])
+                return LatinViolation(kind, i, t.symbols[x])
     return None
 
 
-def _two_sided_identity(rows) -> int | None:
-    """The least e whose row and column both read 0..n-1, or None."""
-    header = tuple(range(len(rows)))
+def identity_check(t: FiniteTable) -> str | None:
+    """The least symbol whose row and column both reproduce the header, if any."""
+    rows, header = t.cells, tuple(range(t.order))
     for e, row in enumerate(rows):
         if row == header and all(r[e] == i for i, r in enumerate(rows)):
-            return e
+            return t.symbols[e]
     return None
 
 
@@ -153,42 +161,15 @@ def _light_test(rows, gens) -> bool:
     return all([rx[v] for v in rows[g]] == list(rows[rx[g]]) for g in gens for rx in rows)
 
 
-def _first_witness(rows) -> tuple[int, int, int] | None:
-    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z), or None."""
-    n = len(rows)
+def associativity_witness(t: FiniteTable) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z)."""
+    rows = t.cells
     for x, rx in enumerate(rows):
         for y, ry in enumerate(rows):
             rxy = rows[rx[y]]
             if [rx[v] for v in ry] != list(rxy):
-                return next((x, y, z) for z in range(n) if rxy[z] != rx[ry[z]])
+                return next((x, y, z) for z in range(t.order) if rxy[z] != rx[ry[z]])
     return None
-
-
-class LatinViolation(namedtuple("LatinViolation", "kind index symbol")):
-    """The first repeat: ``kind`` "row" or "column", the line's index, and the
-    symbol it repeats."""
-
-    __slots__ = ()
-
-
-def latin_check(t: FiniteTable) -> LatinViolation | None:
-    """First repeated symbol, scanning rows top-down then columns left-right."""
-    violation = _latin_violation(t.cells)
-    if violation is None:
-        return None
-    kind, index, x = violation
-    return LatinViolation(kind, index, t.symbols[x])
-
-
-def identity_check(t: FiniteTable) -> str | None:
-    """The symbol whose row and column both reproduce the header, if any."""
-    e = _two_sided_identity(t.cells)
-    return None if e is None else t.symbols[e]
-
-
-def associativity_witness(t: FiniteTable) -> tuple[int, int, int] | None:
-    """Lexicographically first (x, y, z) with (x*y)*z != x*(y*z)."""
-    return _first_witness(t.cells)
 
 
 class Rejection(namedtuple(
@@ -237,8 +218,8 @@ def group_from_table(t: FiniteTable) -> TableGroupResult:
     scan runs only on rejection, to name the first failing triple.
     """
     violation = latin_check(t)
-    e = _two_sided_identity(t.cells)
-    identity = None if e is None else t.symbols[e]
+    identity = identity_check(t)
+    e = None if identity is None else t.symbols.index(identity)
     gens = _generating_sequence(t.cells, e)
     witness = None if _light_test(t.cells, gens) else associativity_witness(t)
     rejection = _first_failed_axiom(t, violation, e, witness)

@@ -63,7 +63,7 @@ def test_a_changed_dot_file_is_reported(tmp_path):
     changed = compare(ROOT, tmp_path)
     assert changed.returncode == 1, changed.stderr
     *differences, summary = changed.stdout.splitlines()
-    assert [line.split(": dot file differs")[0] for line in differences] == ["printed"] * 2
+    assert [line.split(": dot file differs")[0] for line in differences] == ["printed"] * 5
     assert all("'digraph G {" in line for line in differences)
     assert all("'digraph G  {" in line for line in differences)
-    assert summary.endswith(" requests, 2 differences")
+    assert summary.endswith(" requests, 5 differences")

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -96,6 +97,67 @@ def test_build_rejects_identity_and_nongenerating():
         build_cayley_graph(G, [("e", 0)])
     with pytest.raises(GraphError):
         build_cayley_graph(G, [("r", gens["r"])])  # <r> is proper
+
+
+def table_cayley_graph(G, gens):
+    """The reference for build_cayley_graph: each colour read off the drawn
+    table, a generator being an involution when its square is the identity."""
+    t = cayley_table(G)
+    colors = []
+    for name, el in gens:
+        matching = t[el][el] == 0
+        edges = tuple((g, t[g][el]) for g in range(G.order) if not matching or g < t[g][el])
+        colors.append(EdgeColor(name, not matching, edges))
+    labels = G.element_names if G.element_names is not None else tuple(map(str, range(G.order)))
+    return ColoredDigraph(G.order, tuple(colors), labels)
+
+
+def test_build_matches_the_table_reference():
+    # catalog generators, and explicit ones with involutions and redundancy
+    D8, Q8, C42 = families.dihedral(4), families.quaternion(8), families.abelian([4, 2])
+    t, c42 = cayley_table(D8), cayley_table(C42)
+    (_, r), (_, f) = D8.generators
+    (_, i), (_, j) = Q8.generators
+    cases = [(G, G.generators) for _, G in families.catalog_groups(32) if G.order > 1]
+    cases += [
+        (D8, [("f", f), ("rf", t[r][f])]),  # two involutions: two matchings
+        (D8, [("r", r), ("f", f), ("r2", t[r][r])]),  # a redundant involution
+        (Q8, [("i", i), ("j", j), ("k", cayley_table(Q8)[i][j])]),
+    ]
+    for G, gens in cases:
+        assert build_cayley_graph(G, gens) == table_cayley_graph(G, gens)
+    rejected = [
+        (D8, [("r", r)], "do not generate"),
+        (D8, [("f", f), ("r2", t[r][r])], "do not generate"),
+        (C42, [(str(x), x) for x in range(1, 8) if c42[x][x] == 0], "do not generate"),
+        (D8, [("r", r), ("e", 0)], "is the identity"),  # the identity is named first
+        (group_from_action([]), [("e", 0)], "is the identity"),
+        # a negative index would otherwise wrap round to the last element
+        (families.cyclic(5), [("x", -1)], "is not an element"),
+        (D8, [("r", r), ("x", 8)], "is not an element"),
+    ]
+    for G, gens, error in rejected:
+        if error == "do not generate":
+            assert len(subgroup_closure(G, [el for _, el in gens]).members) < G.order
+        with pytest.raises(GraphError, match=error):
+            build_cayley_graph(G, gens)
+
+
+def test_build_cayley_graph_reads_no_table():
+    # the graph of D_2048 reads one column per generator off the action, in
+    # well under 4 MB: its 4096 x 4096 table alone would take about 130 MB
+    D = families.dihedral(2048)
+    tracemalloc.start()
+    try:
+        graph = build_cayley_graph(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    r, f = graph.colors
+    assert graph.node_count == 4096 and (r.directed, f.directed) == (True, False)
+    assert (len(r.edges), len(f.edges)) == (4096, 2048)
+    assert perm_cycle_lengths(color_permutations(graph)[0]) == [2048, 2048]
 
 
 # --- color permutation validation ----------------------------------------------

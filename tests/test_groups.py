@@ -220,13 +220,13 @@ except GroupError as exc:
 
 
 AXIOM_CHECKS = (
-    "_latin_violation", "_two_sided_identity", "_generating_sequence", "_light_test",
-    "_first_witness",
+    "latin_check", "identity_check", "_generating_sequence", "_light_test",
+    "associativity_witness",
 )
 
 
 def spy_on_axiom_checks(monkeypatch):
-    """Record the name of each table-axiom helper of ``tables`` as it is called."""
+    """Record the name of each table-axiom check of ``tables`` as it is called."""
     from cayleykit import tables
 
     calls = []
@@ -574,13 +574,13 @@ def test_generating_subset_is_computed_once_per_group(monkeypatch):
 
 
 def test_table_is_built_only_where_read(monkeypatch, tmp_path, capsys):
-    # every query walks the action; only the printers of --table and --dot
-    # draw the table, once a request
+    # every query walks the action, and so does the graph of --dot; only the
+    # printer of --table draws the table, once a request
     from cayleykit import cli, groups, tables
 
     drawn = []
     draw = groups.cayley_table
-    for module in (groups, tables, graphs):
+    for module in (groups, tables):
         monkeypatch.setattr(module, "cayley_table", lambda G: drawn.append(G) or draw(G))
     D420, C600, D8 = families.dihedral(420), families.cyclic(600), families.dihedral(4)
     # the last identifies D_8 by a search against the catalog's D_4
@@ -604,12 +604,12 @@ def test_table_is_built_only_where_read(monkeypatch, tmp_path, capsys):
     (tmp_path / "c150.txt").write_text("\n".join(lines) + "\n")
     assert cli.main(["check-table", str(tmp_path / "c150.txt"), "--json"]) == 0
     assert '"group": "C_150"' in capsys.readouterr().out
+    assert cli.main(["make", "dihedral", "6", "--dot", str(tmp_path / "d6.dot")]) == 0
     assert drawn == []
     for argv in (
         ["make", "dihedral", "6", "--table"],
         ["quotient", "--presentation", "<a,b | a^6, b^2, (a b)^2>", "--normal", "a^-2",
          "--table"],
-        ["make", "dihedral", "6", "--dot", str(tmp_path / "d6.dot")],
     ):
         drawn.clear()
         assert cli.main(argv) == 0

@@ -263,6 +263,8 @@ def test_light_and_reported_witness_agree_with_full_scan(t):
     assert _light_test(t.cells, _generating_sequence(t.cells)) == (first is None)
     result = group_from_table(t)  # what check-table and identify --table report
     assert result.witness == first
+    assert result.identity == identity_check(t)
+    assert result.latin_violation == latin_check(t)
     if result.rejection is not None and result.rejection.witness is not None:
         assert result.rejection.witness == tuple(t.symbols[i] for i in first)
     if result.ok:

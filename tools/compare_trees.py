@@ -58,10 +58,14 @@ for cwd, argv in json.load(open(sys.argv[2])):
 FIELDS = ("exit code", "stdout", "stderr", "dot file")
 
 # requests that print a whole Cayley table or write a Cayley graph as DOT,
-# run in one directory; the quotient's normal words hold inverse letters
+# run in one directory; the quotient's normal words hold inverse letters, and
+# the graph of C_8 x C_2 has one matching colour
 PRINTED = [
     ["make", "dihedral", "6", "--table", "--dot", "d6.dot"],
     ["make", "dq", "16", "--table", "--dot", "dq16.dot"],
+    ["make", "dihedral", "64", "--dot", "d64.dot"],
+    ["make", "abelian", "8,2", "--dot", "c8c2.dot"],
+    ["make", "quaternion", "16", "--dot", "q16.dot"],
     ["quotient", "--presentation", "<r,f | r^8, f^2, (r f)^2>", "--normal", "r^-2", "--table"],
     ["quotient", "--presentation", "<a,b | a^4, b^4, a^-1 b^-1 a b>",
      "--normal", "a^-2 b^-2", "--table", "--json"],
@@ -69,11 +73,17 @@ PRINTED = [
 
 # malformed inputs, written to one directory: each request is refused with a
 # one-line message, or its table is reported and rejected; and one table
-# whose identity is not its first symbol, reported and accepted
+# whose identity is not its first symbol, reported and accepted.  The second
+# non-associative square has its identity c on a middle row, and its first
+# witness (a*b)*a has its middle b outside the greedy generating sequence a, d
 MALFORMED_FILES = {
     "not_latin.txt": "e a\ne a\na a\n",
     "not_latin_no_identity.txt": "e a\na a\ne e\n",
     "not_associative.txt": "e a b c d\ne a b c d\na e c d b\nb d e a c\nc b d e a\nd c a b e\n",
+    "middle_identity.txt": (
+        "a b c d e f\nf e a c d b\nc f b e a d\na b c d e f\ne c d f b a\nd a e b f c\n"
+        "b d f a c e\n"
+    ),
     "identity_last.txt": "a b e\nb e a\ne a b\na b e\n",
     "broken.json": '{"nodes": 3, "edges": [',
 }
@@ -86,6 +96,8 @@ MALFORMED = [
     ["check-table", "not_latin_no_identity.txt", "--json"],
     ["identify", "--table", "not_associative.txt"],
     ["check-table", "not_associative.txt", "--json"],
+    ["identify", "--table", "middle_identity.txt"],
+    ["check-table", "middle_identity.txt", "--json"],
     ["identify", "--table", "identity_last.txt"],
     ["check-table", "identity_last.txt", "--json"],
     ["check-graph", "broken.json"],
