@@ -27,7 +27,9 @@ completeness checks of a run walk each row O(1) times.
 
 The relator check traces each run x^e of a relator as one power of x's
 column, built by repeated squaring and once per (letter, e) in a check, so a
-long power costs O(index log e) rather than e passes over the cosets.
+long power costs O(index log e) rather than e passes over the cosets.  A
+closed table keeps one column per generator, and x^-1's column is the
+inverse of x's, so the check traces the columns the group is built from.
 
 Coset 0 is the trivial subgroup's coset; a closed table's columns are
 permutations that realize the right-regular action of the presented group, so
@@ -40,7 +42,7 @@ from collections import namedtuple
 from itertools import groupby
 
 from .groups import (
-    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _spanning_tree, check_table_cells,
+    MAX_TABLE_CELLS, CapExceeded, Group, GroupError, _inverse, _spanning_tree, check_table_cells,
 )
 from .words import Presentation, Word, format_word
 
@@ -55,34 +57,29 @@ __all__ = [
 DEFAULT_MAX_COSETS = 65536
 
 
-class CosetTable(namedtuple("CosetTable", "presentation forward backward num_cosets")):
-    """Closed coset table: one forward and one inverse column per generator,
-    ``forward[g][k]`` = k . g and ``backward[g][k]`` = k . g^-1."""
+class CosetTable(namedtuple("CosetTable", "presentation forward num_cosets")):
+    """Closed coset table: one column per generator, ``forward[g][k]`` =
+    k . g, each a permutation of the cosets."""
 
     __slots__ = ()
-
-    def trace(self, start: int, word: Word) -> int:
-        k = start
-        for gen, sign in word:
-            k = self.forward[gen][k] if sign > 0 else self.backward[gen][k]
-        return k
 
     def open_relator(self) -> tuple[Word, int] | None:
         """The first relator that fails to close and the first coset where it
         fails, or None.  Traces all cosets at once, one column power per run
-        of one letter, each power built once per check."""
+        of one letter; an inverse letter's column is ``forward``'s inverse.
+        Each inverse and each power is built once per check."""
         start = list(range(self.num_cosets))
-        powers: dict[tuple[int, int, int], list[int] | tuple[int, ...]] = {}
+        runs: dict[tuple[int, int, int], list[int] | tuple[int, ...]] = {}  # (gen, sign, e)
         for rel in self.presentation.relators:
             k = start
             for (gen, sign), run in groupby(rel):
-                perm = self.forward[gen] if sign > 0 else self.backward[gen]
                 e = len(list(run))
-                if e > 1:
-                    key = gen, sign, e
-                    if key not in powers:
-                        powers[key] = _power(perm, e)
-                    perm = powers[key]
+                if (gen, sign, e) not in runs:
+                    if (gen, sign, 1) not in runs:
+                        col = self.forward[gen]
+                        runs[gen, sign, 1] = col if sign > 0 else _inverse(col)
+                    runs[gen, sign, e] = _power(runs[gen, sign, 1], e)
+                perm = runs[gen, sign, e]
                 k = [perm[x] for x in k]
             if k != start:
                 return rel, next(x for x in start if k[x] != x)
@@ -294,12 +291,10 @@ class _Enumerator:
         live = [k for k, p in enumerate(self.parent) if p == k]
         new_index = {old: new for new, old in enumerate(live)}
         rows = [self.table[k] for k in live]
-        columns = [
-            tuple(new_index[rep(row[col])] for row in rows) for col in range(self.ncols)
-        ]
-        return CosetTable(
-            self.pres, tuple(columns[0::2]), tuple(columns[1::2]), len(live)
+        forward = tuple(
+            tuple(new_index[rep(row[col])] for row in rows) for col in range(0, self.ncols, 2)
         )
+        return CosetTable(self.pres, forward, len(live))
 
 
 def todd_coxeter(

@@ -4,13 +4,14 @@ A graph has one permutation per color (directed: node successions,
 undirected: perfect matchings), checked only as its ``ColoredDigraph`` is
 made.  It is a Cayley graph iff it is connected and the color permutations
 generate a group acting regularly on the nodes.  A connected graph's action
-is regular iff each generator's left multiplication, built along a BFS tree,
-commutes with every color; only a disconnected graph, or ``full_order`` on a
-graph that is not regular, lists the group's elements, up to
-``MAX_TABLE_CELLS`` node images in all.  Either way the graph's loops present
-a group, read off the graph as its finest regular quotient (a Cayley graph
-is its own), whose classes are the closed coset table of the loop
-presentation: the coset cap bounds its order, and no coset is enumerated.
+is regular iff the left multiplication of each color on a BFS tree, built
+along that tree, commutes with every color; only a disconnected graph, or
+``full_order`` on a graph that is not regular, lists the group's elements,
+up to ``MAX_TABLE_CELLS`` node images in all.  Either way the graph's loops
+present a group, read off the graph as its finest regular quotient (a Cayley
+graph is its own), whose colour columns are the closed coset table of the
+loop presentation: the coset cap bounds its order, and no coset is
+enumerated.
 """
 
 from __future__ import annotations
@@ -165,12 +166,14 @@ def _regular_quotient(perms):
     O'Brien, Handbook of Computational Group Theory, ch. 5); this is the
     regular action of F/ncl(H), the group its loops present.
 
-    A round builds each generator's left multiplication L along a BFS tree.
-    If every L commutes with every colour p, the action is regular (Dixon &
-    Mortimer, Permutation Groups, Thm 4.2A).  Otherwise L(x.p) and L(x).p
-    are one point of every regular quotient: the round merges them, closes
-    the merges under the colours and goes on with the classes.  A round that
-    merges replaces H by a proper overgroup, so the point count at least halves."""
+    A round builds, along a BFS tree, the left multiplication L of each
+    colour on the tree: at most n - 1 of the k colours.  If every such L
+    commutes with every colour p, the action is regular, since the L's carry
+    node 0 along the tree to every node (Dixon & Mortimer, Permutation
+    Groups, Thm 4.2A).  Otherwise L(x.p) and L(x).p are one point of every
+    regular quotient: the round merges them, closes the merges under the
+    colours and goes on with the classes.  A round that merges replaces H by
+    a proper overgroup, so the point count at least halves."""
     columns = perms
     while True:
         n = len(columns[0])
@@ -179,7 +182,8 @@ def _regular_quotient(perms):
             return None
         after = [itemgetter(*p) for p in columns]  # after[i](left)[x] = left[p_i[x]]
         pending = []
-        for left in (_along(columns, tree, col[0]) for col in columns):
+        tree_colors = sorted({k for _, _, k in tree})
+        for left in (_along(columns, tree, columns[k][0]) for k in tree_colors):
             then = itemgetter(*left)  # then(p)[x] = p[left[x]]
             for get, p in zip(after, columns):
                 moved, image = get(left), then(p)
@@ -220,7 +224,7 @@ def is_cayley(
 
     A transitive group has order n times the size of a point stabiliser, so
     a connected graph's order is n when it is its own finest regular
-    quotient, an O(n k^2) check for k colours, and past n otherwise; only
+    quotient, an O(n k min(k, n)) check for k colours, and past n otherwise; only
     ``full_order`` lists a non-regular group's elements.  Raises no GraphError."""
     perms = color_permutations(graph)
     return _verdict(perms, _regular_quotient(perms), full_order, order_cap)
@@ -347,26 +351,8 @@ class GraphReport(namedtuple(
         return self.presented_identification.describe()
 
 
-def _regular_coset_table(
-    presentation: Presentation, columns, max_cosets: int
-) -> cosets.CosetTable:
-    """The closed coset table of a graph's loop presentation: the colour
-    columns of its finest regular quotient, whose m points are m cosets.
-    Every relator is a loop of the graph, and a loop that closes at one point
-    of a regular action closes at all (left multiplication is a colour-
-    preserving automorphism), so the table closes each and none is traced."""
-    n = len(columns[0])
-    if n > max_cosets:
-        raise CapExceeded(
-            f"coset cap {max_cosets} exceeded (a regular graph on {n} nodes has {n} cosets)", n
-        )
-    inverses = tuple(tuple(_inverse(p)) for p in columns)
-    return cosets.CosetTable(presentation, tuple(columns), inverses, n)
-
-
 def analyze(
     graph: ColoredDigraph,
-    base: int = 0,
     full_order: bool = False,
     max_cosets: int = cosets.DEFAULT_MAX_COSETS,
 ) -> GraphReport:
@@ -375,14 +361,24 @@ def analyze(
     A disconnected graph is refused before any closure runs.  The presented
     group is the finest regular quotient, the graph itself if it is a Cayley
     graph; its order is charged against ``max_cosets``, and the cap itself is
-    checked against the colour count before the O(n k^2) quotient runs."""
-    presentation = extract_presentation(graph, base)
+    checked against the colour count before the quotient runs.  The loop
+    presentation is read from node 0; ``extract_presentation`` takes another
+    base."""
+    presentation = extract_presentation(graph)
     cosets.check_max_cosets(max_cosets, presentation.rank)
     perms = color_permutations(graph)
     quotient = _regular_quotient(perms)
     verdict = _verdict(perms, quotient, full_order)
-    table = _regular_coset_table(presentation, quotient, max_cosets)
-    presented = cosets.group_from_coset_table(table)
+    # the quotient's m points are the m cosets of the loop presentation.  Every
+    # relator is a loop of the graph, and a loop that closes at one point of a
+    # regular action closes at all (left multiplication is a colour-preserving
+    # automorphism), so the table closes each and none is traced
+    m = len(quotient[0])
+    if m > max_cosets:
+        raise CapExceeded(
+            f"coset cap {max_cosets} exceeded (a regular graph on {m} nodes has {m} cosets)", m
+        )
+    presented = cosets.group_from_coset_table(cosets.CosetTable(presentation, tuple(quotient), m))
     return GraphReport(verdict, presentation, presented, identify(presented))
 
 

@@ -19,7 +19,7 @@ from cayleykit.graphs import (
     build_cayley_graph,
     extract_presentation,
 )
-from cayleykit.groups import cayley_table, identify
+from cayleykit.groups import _inverse, cayley_table, identify
 from cayleykit.words import Presentation, free_reduce, parse_presentation
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -27,6 +27,16 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 def enumerate_text(text, max_cosets=65536):
     return todd_coxeter(parse_presentation(text), max_cosets)
+
+
+def trace(table, start, word):
+    """The coset that ``word`` takes coset ``start`` to, one letter at a time;
+    an inverse letter steps back along its generator's column."""
+    k = start
+    for gen, sign in word:
+        col = table.forward[gen]
+        k = col[k] if sign > 0 else col.index(k)
+    return k
 
 
 def test_dihedral_closes_at_eight():
@@ -71,24 +81,26 @@ def test_relators_trace_home_from_every_coset():
         table = todd_coxeter(p)
         for rel in p.relators:
             for k in range(table.num_cosets):
-                assert table.trace(k, rel) == k
+                assert trace(table, k, rel) == k
 
 
 def test_columns_are_permutations():
-    table = enumerate_text("<r,s | r^8=1, s^2=r^4, s^-1 r s=r^-1>")
+    # one column per generator; the inverse columns HLT filled in are the
+    # inverses of these (CheckedEnumerator asserts it at every compaction)
+    p = parse_presentation("<r,s | r^8=1, s^2=r^4, s^-1 r s=r^-1>")
+    table = checked_todd_coxeter(p, 65536)
+    assert table._fields == ("presentation", "forward", "num_cosets")
     n = table.num_cosets
-    for g in range(2):
-        assert sorted(table.forward[g]) == list(range(n))
-        assert sorted(table.backward[g]) == list(range(n))
-        for k in range(n):
-            assert table.backward[g][table.forward[g][k]] == k
+    assert len(table.forward) == 2
+    for col in table.forward:
+        assert sorted(col) == list(range(n))
 
 
 def test_enumeration_is_deterministic():
     a = enumerate_text("<r,s | r^16=s^2=1, s r s=r^9>")
     b = enumerate_text("<r,s | r^16=s^2=1, s r s=r^9>")
     assert a.forward == b.forward
-    assert a.backward == b.backward
+    assert a == b
 
 
 def test_group_table_is_reproducible_and_verified():
@@ -216,6 +228,18 @@ class CheckedEnumerator(cosets._Enumerator):
         self.walked += self.first_open - start + (not complete)
         return complete
 
+    def _compact(self):
+        # the inverse entries HLT filled in, dropped as the table compacts,
+        # are the inverses of its columns: so the relator check, which
+        # derives them, traces what the enumeration built
+        closed = super()._compact()
+        live = [k for k, p in enumerate(self.parent) if p == k]
+        number = {k: i for i, k in enumerate(live)}
+        for g, col in enumerate(closed.forward):
+            dropped = [number[self.rep(self.table[k][2 * g + 1])] for k in live]
+            assert dropped == _inverse(col)
+        return closed
+
 
 def checked_todd_coxeter(presentation, max_cosets):
     """todd_coxeter's table or CapExceeded, from a CheckedEnumerator whose
@@ -243,12 +267,11 @@ def test_random_presentations_close_or_hit_the_cap(i, j, words):
     except CapExceeded:
         return
     n = table.num_cosets
-    for fwd, bwd in zip(table.forward, table.backward):
-        assert sorted(fwd) == list(range(n))
-        assert all(bwd[fwd[k]] == k for k in range(n))
+    for col in table.forward:
+        assert sorted(col) == list(range(n))
     for rel in p.relators:
         for k in range(n):
-            assert table.trace(k, rel) == k
+            assert trace(table, k, rel) == k
     # the columns act regularly: the group they generate has one element per coset
     assert _closure_order(table.forward, n) == n
 
@@ -312,8 +335,7 @@ def corrupted(self):
     t = compact(self)
     fwd = list(t.forward[0])
     fwd[0], fwd[1] = fwd[1], fwd[0]
-    return cosets.CosetTable(t.presentation, (tuple(fwd),) + t.forward[1:],
-                             t.backward, t.num_cosets)
+    return cosets.CosetTable(t.presentation, (tuple(fwd),) + t.forward[1:], t.num_cosets)
 
 cosets._Enumerator._compact = corrupted
 try:
@@ -331,12 +353,15 @@ except RuntimeError as exc:
 
 def reference_open_relator(table):
     """The relator check with one pass over all cosets per letter: the
-    reference for the check that traces one column power per run."""
+    reference for the check that traces one column power per run.  An
+    inverse letter's column is the inverse of its generator's, derived as
+    the check derives it, so the two agree on maps that are not permutations."""
     start = list(range(table.num_cosets))
+    inverses = [_inverse(col) for col in table.forward]
     for rel in table.presentation.relators:
         k = start
         for gen, sign in rel:
-            col = table.forward[gen] if sign > 0 else table.backward[gen]
+            col = table.forward[gen] if sign > 0 else inverses[gen]
             k = [col[x] for x in k]
         if k != start:
             return rel, next(x for x in start if k[x] != x)
@@ -384,7 +409,7 @@ def enumerate_or_count(enumerate_with, presentation, max_cosets):
         table = enumerate_with(presentation, max_cosets)
     except CapExceeded as exc:
         return exc.cosets_defined
-    return table.forward, table.backward
+    return table.forward
 
 
 RANK_LETTERS = st.tuples(st.integers(0, 2), st.sampled_from((1, -1)))
@@ -440,21 +465,31 @@ def test_run_check_finds_the_same_failure_on_a_corrupted_column(
 ):
     table = todd_coxeter(parse_presentation(text.format(m=m)))
     n = table.num_cosets
-    columns = list(table.forward + table.backward)
+    columns = list(table.forward)
     which %= len(columns)
     col = list(columns[which])
     i = data.draw(st.integers(0, n - 1))
     j = data.draw(st.integers(0, n - 1))
-    if swap:  # still a permutation, no longer the other column's inverse
+    if swap:  # still a permutation, and so is its inverse, but not this group's
         col[i], col[j] = col[j], col[i]
     else:  # a map that is not a permutation unless j == col[i]
         col[i] = j
     columns[which] = tuple(col)
-    rank = len(table.forward)
-    corrupted = cosets.CosetTable(
-        table.presentation, tuple(columns[:rank]), tuple(columns[rank:]), n
-    )
+    corrupted = cosets.CosetTable(table.presentation, tuple(columns), n)
     assert corrupted.open_relator() == reference_open_relator(corrupted)
+
+
+def test_inverse_letters_are_traced_on_the_inverse_column():
+    # the check reads no column besides the generators': a relator with
+    # inverse letters closes exactly where the group built from them obeys it
+    p = parse_presentation("<a,b | a^-3, b^-1 a b a^-1>")
+    cycle = cosets.CosetTable(p, ((1, 2, 0), (0, 1, 2)), 3)
+    assert cycle.open_relator() is None
+    swap = cosets.CosetTable(p, ((1, 0, 2), (0, 1, 2)), 3)
+    assert swap.open_relator() == reference_open_relator(swap) == (p.relators[0], 0)
+    conjugated = cosets.CosetTable(p, ((1, 2, 0), (0, 2, 1)), 3)
+    assert conjugated.open_relator() == reference_open_relator(conjugated)
+    assert conjugated.open_relator() == (p.relators[1], 0)
 
 
 def test_single_letter_power_is_scanned_once_per_cycle(monkeypatch):
@@ -477,9 +512,7 @@ def test_corruption_inside_a_long_run_is_found_where_the_reference_finds_it():
     table = todd_coxeter(parse_presentation("<r,s | r^60, s^2, s r s r>"))
     r = list(table.forward[0])
     r[7], r[8] = r[8], r[7]
-    corrupted = cosets.CosetTable(
-        table.presentation, (tuple(r),) + table.forward[1:], table.backward, 120
-    )
+    corrupted = cosets.CosetTable(table.presentation, (tuple(r),) + table.forward[1:], 120)
     failure = corrupted.open_relator()
     assert failure is not None and failure == reference_open_relator(corrupted)
     assert failure[0] == ((0, 1),) * 60

@@ -9,10 +9,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cayleykit import families
 from cayleykit.cli import _graph_report
-from cayleykit.cosets import group_from_coset_table, group_from_presentation
+from cayleykit.cosets import CosetTable, group_from_coset_table, group_from_presentation
 from cayleykit.graphs import (
     _closure,
-    _regular_coset_table,
     _regular_quotient,
     ColoredDigraph,
     EdgeColor,
@@ -29,8 +28,8 @@ from cayleykit.graphs import (
     load_graph_json,
 )
 from cayleykit.groups import (
-    CapExceeded, _spanning_tree, cayley_table, group_from_action, identify, is_isomorphic,
-    subgroup_closure,
+    CapExceeded, _along, _inverse, _spanning_tree, cayley_table, group_from_action, identify,
+    is_isomorphic, subgroup_closure,
 )
 from cayleykit.words import Presentation, free_reduce
 
@@ -683,41 +682,41 @@ def quotient_rounds(perms):
     return quotient, counts
 
 
-def assert_read_as_enumerated(graph, base=0):
+def assert_read_as_enumerated(graph, bases=(0,)):
     """analyze() reads a graph's presented group off its finest regular
-    quotient; it must equal what Todd-Coxeter makes of the graph's loops,
-    the table it was read from must close every relator at every coset, and
-    each round that merges must at least halve the points.  Returns the
-    point counts the rounds began with."""
-    report = analyze(graph, base=base)
-    presentation = extract_presentation(graph, base)
-    assert Presentation(*presentation) == presentation  # passes the checks it skips
+    quotient; it must equal what Todd-Coxeter makes of the graph's loops
+    read from each of the ``bases``, the quotient's columns must close every
+    such relator at every coset, and each round that merges must at least
+    halve the points.  Returns the point counts the rounds began with."""
+    report = analyze(graph)
+    assert report.presentation == extract_presentation(graph, 0)
     quotient, counts = quotient_rounds(report.verdict.color_perms)
     assert counts[0] == graph.node_count and counts[-1] == len(quotient[0])
     assert all(n % m == 0 and 2 * m <= n for n, m in zip(counts, counts[1:]))
     assert report.is_cayley == (len(counts) == 1)
-    table = _regular_coset_table(presentation, quotient, len(quotient[0]))
-    assert table.open_relator() is None
-    reference = group_from_presentation(presentation)
-    for group in (report.presented_group, group_from_coset_table(table)):
-        assert cayley_table(group) == cayley_table(reference)
-        assert group.element_names == reference.element_names
-        assert group.generators == reference.generators
+    for base in bases:
+        presentation = extract_presentation(graph, base)
+        assert Presentation(*presentation) == presentation  # passes the checks it skips
+        table = CosetTable(presentation, tuple(quotient), len(quotient[0]))
+        assert table.open_relator() is None
+        reference = group_from_presentation(presentation)
+        for group in (report.presented_group, group_from_coset_table(table)):
+            assert cayley_table(group) == cayley_table(reference)
+            assert group.element_names == reference.element_names
+            assert group.generators == reference.generators
     return counts
 
 
 @pytest.mark.parametrize("name", CAYLEY_FIXTURES)
 def test_cayley_fixture_read_as_enumerated(name):
     graph = fixture(name)
-    for base in (0, 1, 7, graph.node_count - 1):
-        assert_read_as_enumerated(graph, base)
+    assert_read_as_enumerated(graph, (0, 1, 7, graph.node_count - 1))
 
 
 @pytest.mark.parametrize("name", NON_CAYLEY_FIXTURES)
 def test_non_cayley_fixture_read_as_enumerated(name):
     graph = fixture(name)
-    for base in (0, 1, 7, graph.node_count - 1):
-        assert_read_as_enumerated(graph, base)
+    assert_read_as_enumerated(graph, (0, 1, 7, graph.node_count - 1))
 
 
 def coset_graph(G, members, gens):
@@ -755,7 +754,7 @@ def test_coset_graphs_read_as_enumerated(data):
     seeds = data.draw(st.lists(st.integers(0, G.order - 1), min_size=1, max_size=2))
     graph = coset_graph(G, subgroup_closure(G, seeds).members, [s for _, s in G.generators])
     assume(graph is not None)
-    assert_read_as_enumerated(graph, data.draw(st.integers(0, graph.node_count - 1)))
+    assert_read_as_enumerated(graph, (data.draw(st.integers(0, graph.node_count - 1)),))
 
 
 @settings(max_examples=60, deadline=None)
@@ -770,7 +769,7 @@ def test_random_graphs_read_as_enumerated(data):
             colors.append(EdgeColor(f"c{i}", True, tuple(enumerate(data.draw(derangements(n))))))
     graph = ColoredDigraph(n, tuple(colors))
     assume(len(orbit_of_zero(color_permutations(graph))) == n)
-    assert_read_as_enumerated(graph, data.draw(st.integers(0, n - 1)))
+    assert_read_as_enumerated(graph, (data.draw(st.integers(0, n - 1)),))
 
 
 def symmetric_group_coset_graph(n):
@@ -811,7 +810,7 @@ def test_relabelled_cayley_graphs_read_as_enumerated(data):
     _, graph = data.draw(st.sampled_from([c for c in CATALOG_GRAPHS if c[1].node_count <= 24]))
     order = data.draw(st.permutations(range(graph.node_count)))
     base = data.draw(st.integers(0, graph.node_count - 1))
-    assert_read_as_enumerated(relabelled(graph, order), base)
+    assert_read_as_enumerated(relabelled(graph, order), (base,))
 
 
 def reduced_and_deduplicated(relators):
@@ -906,18 +905,61 @@ def test_graph_layer_skips_the_record_checks(monkeypatch):
     assert len(presentations) == len(digraphs) == 1
 
 
-def test_regular_table_refuses_open_relator_and_cap():
-    graph = fixture("mirror16")
-    perms = tuple(color_permutations(graph))
-    presentation = extract_presentation(graph)
+def test_regular_table_refuses_open_relator_and_cap(monkeypatch):
+    graph = build_cayley_graph(families.dihedral(8))
     # every relator is a loop of the graph, closed by construction and not
     # traced again; assert_read_as_enumerated checks it at every coset
-    with pytest.raises(CapExceeded):
-        _regular_coset_table(presentation, perms, 15)
+    traced = []
+    monkeypatch.setattr(CosetTable, "open_relator", lambda table: traced.append(table))
+    with pytest.raises(CapExceeded, match=r"^coset cap 15 exceeded \(a regular graph on 16 "
+                                          r"nodes has 16 cosets\)$") as err:
+        analyze(graph, max_cosets=15)
+    assert err.value.cosets_defined == 16
+    assert analyze(graph, max_cosets=16).presented_order == 16
+    assert traced == []
+
+
+def test_analyze_inverts_each_colour_once(monkeypatch):
+    # extract_presentation walks each colour backwards once; the coset table
+    # is the quotient's colour columns alone, with no inverse columns
+    calls = []
+    monkeypatch.setattr("cayleykit.graphs._inverse", lambda p: calls.append(p) or _inverse(p))
+    graphs = [fixture("petersen"), fixture("mirror32"), build_cayley_graph(families.dihedral(12))]
+    for graph in graphs:
+        calls.clear()
+        analyze(graph)
+        assert len(calls) == len(graph.colors)
+
+
+def walks_per_round(perms):
+    """_regular_quotient(perms), its rounds and the left multiplications built."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("cayleykit.graphs._along", lambda *args: calls.append(args) or _along(*args))
+        quotient, counts = quotient_rounds(perms)
+    return quotient, counts, calls
+
+
+def test_regularity_reads_the_tree_colours_alone():
+    # the left multiplications of the colours on the BFS tree carry node 0 to
+    # every node, so they decide regularity: 300 copies of one matching build
+    # one, and D_6 with each colour given twice builds one per colour of D_6
+    many = [(1, 0)] * 300
+    quotient, counts, calls = walks_per_round(many)
+    assert quotient == many and counts == [2] and len(calls) == 1
+    twice = color_permutations(build_cayley_graph(families.dihedral(6))) * 2
+    quotient, counts, calls = walks_per_round(twice)
+    assert quotient == twice and counts == [12] and len(calls) == 2
+    # on a graph that is not regular, copies of its two colours add no walk
+    # and leave every round's merges as they were
+    perms = color_permutations(symmetric_group_coset_graph(5))
+    quotient, counts, calls = walks_per_round(perms * 3)
+    assert (quotient, counts) == (_regular_quotient(perms) * 3, [60, 20, 5, 1])
+    assert len(calls) <= 2 * len(counts)
 
 
 def test_analyze_checks_the_cap_before_the_quotient(monkeypatch):
-    # the cap is checked against the colour count before the O(n k^2)
+    # the cap is checked against the colour count before the O(n k min(k, n))
     # regularity test: a cap out of range builds no quotient
     calls = []
     monkeypatch.setattr("cayleykit.graphs._regular_quotient", calls.append)

@@ -203,7 +203,7 @@ except GroupError as exc:
     print(exc)
 p = parse_presentation("<a,b | a^2, b^2, a b a b>")
 try:
-    group_from_coset_table(CosetTable(p, swaps, swaps, 4))
+    group_from_coset_table(CosetTable(p, swaps, 4))
 except GroupError as exc:
     print(exc)
 """
@@ -1194,11 +1194,9 @@ def right_action(G):
     """The coset table of G over the trivial subgroup, one column per
     recorded generator; no relators, which the conversion never reads."""
     t = cayley_table(G)
-    inv = inverses(t)
     forward = tuple(tuple(t[x][g] for x in range(G.order)) for _, g in G.generators)
-    backward = tuple(tuple(t[x][inv[g]] for x in range(G.order)) for _, g in G.generators)
     names = tuple(name for name, _ in G.generators)
-    return CosetTable(Presentation(names, ()), forward, backward, G.order)
+    return CosetTable(Presentation(names, ()), forward, G.order)
 
 
 def assert_builders_match_oracle(table):

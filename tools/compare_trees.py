@@ -8,9 +8,10 @@ The requests are blocks 0..N-1 of each benchmark workload at seed 1 (drawn
 by ``perfbench/workloads.py`` of OLD_ROOT, data files written once to a shared
 temporary directory), the commands of the golden cases in
 ``tests/test_cli.py``, run from OLD_ROOT's ``tests/data``, the fixed
-requests of ``PRINTED``, whose tables and DOT files are compared, and the
-fixed malformed requests of ``MALFORMED``, whose exit codes and one-line
-errors must match as well.  Each checkout
+requests of ``PRINTED``, whose tables and DOT files are compared, the graphs
+of ``GRAPH_FILES``, checked under ``GRAPH_ENV``, and the fixed malformed
+requests of ``MALFORMED``, whose exit codes and one-line errors must match
+as well.  Each checkout
 answers them all in one child interpreter with its own ``src`` first on
 ``sys.path``; ``cli_cold`` requests go through ``cli.main`` there too.  A JSON
 report is compared without its ``timing_ms``.  Prints one line per difference
@@ -31,8 +32,9 @@ CHILD = """
 import contextlib, io, json, os, sys
 sys.path.insert(0, sys.argv[1])
 from cayleykit import cli
-for cwd, argv in json.load(open(sys.argv[2])):
+for cwd, argv, env in json.load(open(sys.argv[2])):
     os.chdir(cwd)
+    os.environ.update(env)
     dot = argv[argv.index("--dot") + 1] if "--dot" in argv else None
     if dot and os.path.exists(dot):
         os.remove(dot)
@@ -52,6 +54,8 @@ for cwd, argv in json.load(open(sys.argv[2])):
             document.pop("timing_ms", None)
             text = json.dumps(document, sort_keys=True)
     written = open(dot).read() if dot and os.path.exists(dot) else None
+    for key in env:
+        del os.environ[key]
     print(json.dumps([code, text, err.getvalue(), written]))
 """
 
@@ -70,6 +74,33 @@ PRINTED = [
     ["quotient", "--presentation", "<a,b | a^4, b^4, a^-1 b^-1 a b>",
      "--normal", "a^-2 b^-2", "--table", "--json"],
 ]
+
+
+def _graph(nodes, colors):
+    """Graph JSON text of ``colors``, (name, directed, successor list) each."""
+    return json.dumps({"nodes": nodes, "colors": [
+        {"name": name, "directed": directed,
+         "edges": [[u, v] for u, v in enumerate(image) if directed or u < v]}
+        for name, directed, image in colors
+    ]})
+
+
+# D_6 = {r^i f^j} as node i + 6j, right multiplication by r and by f
+_ROTATE = [(i + 1) % 6 for i in range(6)] + [6 + (i - 1) % 6 for i in range(6)]
+_FLIP = [i + 6 for i in range(6)] + list(range(6))
+
+# graphs written to the graph directory and sent through check-graph --json
+# under GRAPH_ENV: 300 copies of one matching on 2 nodes, which the default
+# coset cap refuses for so many colours, and D_6's Cayley graph with every
+# colour given twice under new names; in each, the colours on the BFS tree
+# are fewer than all colours
+GRAPH_FILES = {
+    "many_colours.json": _graph(2, [(f"c{i}", False, [1, 0]) for i in range(300)]),
+    "d6_twice.json": _graph(12, [
+        ("r", True, _ROTATE), ("f", False, _FLIP), ("s", True, _ROTATE), ("g", False, _FLIP),
+    ]),
+}
+GRAPH_ENV = {"CAYLEY_MAX_COSETS": "600"}
 
 # malformed inputs, written to one directory: each request is refused with a
 # one-line message, or its table is reported and rejected; and one table
@@ -117,7 +148,8 @@ def golden_commands(root: Path) -> list[list[str]]:
 
 
 def requests(root: Path, blocks: int, workdir: Path):
-    """(label, cwd, argv) of every request, with each block's files written."""
+    """(label, cwd, argv, env) of every request, with each block's files written;
+    ``env`` holds the environment variables set for that request alone."""
     sys.path.insert(0, str(root / "perfbench"))
     import workloads
 
@@ -132,20 +164,25 @@ def requests(root: Path, blocks: int, workdir: Path):
                 (where / file).write_text(text)
             for i, req in enumerate(block.requests):
                 argv = [a.replace(workloads.WORK, str(where)) for a in req.argv]
-                found.append((f"{name} block {index} request {i}", str(where), argv))
+                found.append((f"{name} block {index} request {i}", str(where), argv, {}))
     data = str(root / "tests" / "data")
     for argv in golden_commands(root):
-        found.append(("golden", data, argv))
+        found.append(("golden", data, argv, {}))
     where = workdir / "printed"
     where.mkdir()
     for argv in PRINTED:
-        found.append(("printed", str(where), argv))
+        found.append(("printed", str(where), argv, {}))
+    where = workdir / "graphs"
+    where.mkdir()
+    for file, text in GRAPH_FILES.items():
+        (where / file).write_text(text)
+        found.append(("graph", str(where), ["check-graph", file, "--json"], GRAPH_ENV))
     where = workdir / "malformed"
     where.mkdir()
     for file, text in MALFORMED_FILES.items():
         (where / file).write_text(text)
     for argv in MALFORMED:
-        found.append(("malformed", str(where), argv))
+        found.append(("malformed", str(where), argv, {}))
     return found
 
 
@@ -168,10 +205,10 @@ def main(argv=None) -> int:
         work = Path(tmp)
         found = requests(old, args.blocks, work)
         listing = work / "requests.json"
-        listing.write_text(json.dumps([[cwd, argv] for _, cwd, argv in found]))
+        listing.write_text(json.dumps([[cwd, argv, env] for _, cwd, argv, env in found]))
         before, after = answers(old, listing), answers(new, listing)
     differences = 0
-    for (label, _, argv), a, b in zip(found, before, after, strict=True):
+    for (label, _, argv, _), a, b in zip(found, before, after, strict=True):
         for field, x, y in zip(FIELDS, a, b):
             if x != y:
                 differences += 1
